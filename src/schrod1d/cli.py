@@ -14,14 +14,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .fsm import CutoffSequence, GridVector, SectionScheme, run_fsm
 from .potential import PeriodicPotential, potential_from_json
 from .reproduce import REPRODUCTIONS, run_reproduction
-from .scalars import INTEGER
-from .spectral import dirichlet_eigenvalues, bands, smallest_singular_value
+from .scalars import GAUSSIAN, INTEGER, RATIONAL, decode_scalar_any, regime_of
+from .spectral import dirichlet_eigenvalues, bands
 from .transfer import discriminant, monodromy_dirichlet_test
 
 EXIT_PASS = 0
@@ -37,24 +36,24 @@ class UsageError(Exception):
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise UsageError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
         raise UsageError("config is not valid JSON: %s" % exc)
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
+    return cfg
 
 
-def _parse_scalar(doc):
-    if isinstance(doc, bool):
-        raise UsageError("boolean scalar in config")
-    if isinstance(doc, (int, float)):
-        return doc
-    if isinstance(doc, str):
-        try:
-            return Fraction(doc)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError("bad scalar %r: %s" % (doc, exc))
-    raise UsageError("scalar must be a number or a 'p/q' string")
+def _parse_z(doc):
+    try:
+        z = decode_scalar_any(doc)
+    except ValueError as exc:
+        raise UsageError("bad scalar %r: %s" % (doc, exc))
+    if regime_of(z) == GAUSSIAN:
+        raise UsageError("z must be a number or a 'p/q' string")
+    return z
 
 
 def _parse_cutoffs(doc):
@@ -70,7 +69,7 @@ def _parse_cutoffs(doc):
                                             float(doc.get("ratio", 1.5)))
         if kind == "explicit":
             return CutoffSequence.explicit(doc.get("values", ()))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError("bad cutoff document: %s" % exc)
     raise UsageError("unknown cutoff kind %r" % kind)
 
@@ -104,21 +103,24 @@ def _parse_rhs(doc):
         return GridVector.delta(0)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise UsageError("rhs document needs a 'kind' field")
-    if doc["kind"] == "delta":
-        return GridVector.delta(int(doc.get("site", 0)))
-    if doc["kind"] == "vector":
-        values = doc.get("values")
-        if not values:
-            raise UsageError("rhs vector needs nonempty 'values'")
-        return GridVector(start=int(doc.get("start", 0)),
-                          values=tuple(float(v) for v in values))
+    try:
+        if doc["kind"] == "delta":
+            return GridVector.delta(int(doc.get("site", 0)))
+        if doc["kind"] == "vector":
+            values = doc.get("values")
+            if not values:
+                raise UsageError("rhs vector needs nonempty 'values'")
+            return GridVector(start=int(doc.get("start", 0)),
+                              values=tuple(float(v) for v in values))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise UsageError("bad rhs document: %s" % exc)
     raise UsageError("unknown rhs kind %r" % doc["kind"])
 
 
 def _potential_from_config(cfg):
     doc = cfg.get("potential")
-    if doc is None:
-        raise UsageError("config needs a 'potential' document")
+    if not isinstance(doc, dict):
+        raise UsageError("config needs a 'potential' object")
     try:
         return potential_from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
@@ -136,6 +138,9 @@ def cmd_bands(args):
     p = _potential_from_config(cfg)
     if not isinstance(p, PeriodicPotential):
         raise UsageError("bands needs a periodic potential")
+    if p.regime not in (INTEGER, RATIONAL):
+        raise UsageError("bands needs an integer or rational word, got %s"
+                         % p.regime)
     out = _outdir(args, cfg)
     bs = bands(discriminant(p))
     ds = dirichlet_eigenvalues(p)
@@ -171,12 +176,18 @@ def cmd_bands(args):
 def cmd_fsm(args):
     cfg = _load_config(args.config)
     p = _potential_from_config(cfg)
-    z = _parse_scalar(cfg.get("z", 0))
+    z = _parse_z(cfg.get("z", 0))
     scheme = _parse_scheme(cfg.get("scheme"))
     rhs = _parse_rhs(cfg.get("rhs"))
-    count = int(cfg.get("count", 12))
+    try:
+        count = int(cfg.get("count", 12))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise UsageError("bad count: %s" % exc)
     out = _outdir(args, cfg)
-    report = run_fsm(p, z, scheme, rhs=rhs, count=count)
+    try:
+        report = run_fsm(p, z, scheme, rhs=rhs, count=count)
+    except OverflowError as exc:  # raised before any section is solved
+        raise UsageError("config value out of float range: %s" % exc)
     jsonio.write_json(os.path.join(out, "fsm_report.json"), report)
     jsonio.write_csv(
         os.path.join(out, "fsm_report.csv"),

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .spectral import smallest_singular_value
+from .spectral import _tridiag_data, smallest_singular_value
+from .transfer import _least_squares_slope
 
 DIVERGENCE_NORM = 1e8
 ERROR_TARGET = 1e-8
@@ -158,17 +159,6 @@ class SectionSingularError(ArithmeticError):
         self.sigma_min = sigma_min
 
 
-def _section_data(p, z, l, r):
-    d = np.array([float(p.value(n)) - float(z) for n in range(l, r + 1)])
-    size = r - l + 1
-    ab = np.zeros((3, size))
-    ab[1] = d
-    if size > 1:
-        ab[0, 1:] = 1.0
-        ab[2, :-1] = 1.0
-    return d, ab
-
-
 def _apply_section(d, x):
     y = d * x
     if len(x) > 1:
@@ -187,7 +177,11 @@ def solve_section(p, z, l, r, rhs):
     if r < l:
         raise ValueError("empty section")
     b = rhs.restricted(l, r)
-    d, ab = _section_data(p, z, l, r)
+    d, _ = _tridiag_data(p, z, l, r)
+    ab = np.zeros((3, r - l + 1))
+    ab[0, 1:] = 1.0
+    ab[1] = d
+    ab[2, :-1] = 1.0
     bn = float(np.linalg.norm(b))
     target = RESIDUAL_FACTOR * max(bn, 1.0)
 
@@ -336,11 +330,9 @@ def run_fsm(p, z, scheme, rhs=None, count=12, reference="auto"):
     """
     if rhs is None:
         rhs = GridVector.delta(0)
-    limit = scheme.right.count_limit()
-    if limit is not None:
-        count = min(count, limit)
-    if scheme.left is not None and scheme.left.count_limit() is not None:
-        count = min(count, scheme.left.count_limit())
+    for seq in (scheme.right, scheme.left):
+        if seq is not None and seq.count_limit() is not None:
+            count = min(count, seq.count_limit())
     sections = scheme.sections(count)
 
     ref = None
@@ -448,25 +440,19 @@ def stability_scan(p, z, sizes, operator="half_line", period=1):
     pts = [(s, math.log(v)) for s, v in zip(sizes, vals) if v > 1e-13]
     pts = pts[len(pts) // 2:]
     if len(pts) < 2:
-        return StabilityScan(operator=operator, z=z, sizes=sizes,
-                             sigma_mins=tuple(vals),
-                             classification="geometric_decay"
-                             if vals[-1] <= 1e-13 else "undetermined",
-                             slope_per_step=float("-inf")
-                             if vals[-1] <= 1e-13 else float("nan"),
-                             ratio_per_period=0.0
-                             if vals[-1] <= 1e-13 else float("nan"))
-    s_mean = sum(s for s, _ in pts) / len(pts)
-    v_mean = sum(v for _, v in pts) / len(pts)
-    den = sum((s - s_mean) ** 2 for s, _ in pts)
-    slope = sum((s - s_mean) * (v - v_mean) for s, v in pts) / den
-    if slope < -1e-3:
-        cls = "geometric_decay"
-    elif abs(slope) <= 1e-3:
-        cls = "bounded_below"
+        if vals[-1] <= 1e-13:
+            cls, slope, ratio = "geometric_decay", float("-inf"), 0.0
+        else:
+            cls, slope, ratio = "undetermined", float("nan"), float("nan")
     else:
-        cls = "undetermined"
+        slope = _least_squares_slope(pts)
+        if slope < -1e-3:
+            cls = "geometric_decay"
+        elif abs(slope) <= 1e-3:
+            cls = "bounded_below"
+        else:
+            cls = "undetermined"
+        ratio = math.exp(slope * period)
     return StabilityScan(operator=operator, z=z, sizes=sizes,
                          sigma_mins=tuple(vals), classification=cls,
-                         slope_per_step=slope,
-                         ratio_per_period=math.exp(slope * period))
+                         slope_per_step=slope, ratio_per_period=ratio)

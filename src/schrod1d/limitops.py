@@ -33,9 +33,9 @@ from fractions import Fraction
 from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
                         PeriodicPotential, periodic)
 from .scalars import INTEGER, RATIONAL, RegimeError
-from .spectral import BandSet, bands, _to_fraction
-from .transfer import (TransferMatrix, discriminant, monodromy,
-                       monodromy_dirichlet_test, transfer_product)
+from .spectral import bands, _to_fraction
+from .transfer import (TransferMatrix, discriminant, monodromy_dirichlet_test,
+                       transfer_product)
 
 KERNEL_SUSPECT_TOL = 1e-8
 
@@ -188,12 +188,14 @@ def _halfline_invertible_from_junction(p, z, junction, word_len):
     The orbit x_{-1} = 0, x_0 = 1 is propagated exactly to the junction;
     z is an eigenvalue iff that vector spans the contracting eigendirection
     of the one-period transfer there. For junction = 0 this is the classical
-    m12(z) = 0 and |m22(z)| < 1 criterion.
+    m12(z) = 0 and |m22(z)| < 1 criterion. The discriminant at z is the
+    trace of that transfer.
     """
+    if p.regime not in (INTEGER, RATIONAL):
+        raise RegimeError("half-line invertibility is decided over Q only")
     zf = _to_fraction(z)
-    disc_val = discriminant(
-        periodic(tuple(p.value(n) for n in range(junction, junction + word_len)))
-    ).value(zf)
+    m = transfer_product(p, zf, junction, junction + word_len - 1)
+    disc_val = m.trace()
     if abs(disc_val) < 2:
         return InvertibilityResult(False, "in_band", {"disc": disc_val})
     if abs(disc_val) == 2:
@@ -202,7 +204,6 @@ def _halfline_invertible_from_junction(p, z, junction, word_len):
     u = (Fraction(0), Fraction(1))
     m_in = transfer_product(p, zf, 0, junction - 1)  # identity if junction <= 0
     u = m_in.apply(u)
-    m = transfer_product(p, zf, junction, junction + word_len - 1)
     w = m.apply(u)
     wronskian = w[0] * u[1] - w[1] * u[0]
     detail = {"disc": disc_val, "wronskian": wronskian}
@@ -221,12 +222,8 @@ def halfline_invertible(p, z):
     p must be periodic, or eventually periodic / explicit; only the part of
     p on [0, inf) matters.
     """
-    lw, rw, _, rj = _side_words(p)
+    _, rw, _, rj = _side_words(p)
     return _halfline_invertible_from_junction(p, z, max(rj, 0), len(rw))
-
-
-def _reversed_potential(word):
-    return periodic(tuple(reversed(word)))
 
 
 @dataclass(frozen=True)
@@ -339,7 +336,6 @@ def full_line_kernel_scan(p, z):
 
 
 def _full_line_invertible_condition(p, z):
-    lw, rw, lj, rj = _side_words(p)
     fred = is_fredholm(p, z, "full_line")
     if not fred.fredholm:
         return ConditionResult(
@@ -368,13 +364,9 @@ def _full_line_invertible_condition(p, z):
 
 def _half_line_invertible_condition(p, z):
     res = halfline_invertible(p, z)
-    if res.invertible:
-        return ConditionResult(key="d", holds=True,
-                               summary="half-line operator invertible, exact",
-                               items=(res,))
-    return ConditionResult(key="d", holds=False,
-                           summary="half-line operator not invertible: %s"
-                                   % res.status,
+    summary = ("half-line operator invertible, exact" if res.invertible
+               else "half-line operator not invertible: %s" % res.status)
+    return ConditionResult(key="d", holds=res.invertible, summary=summary,
                            items=(res,))
 
 

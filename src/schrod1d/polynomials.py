@@ -62,13 +62,6 @@ def pmul(a, b):
     return poly(out)
 
 
-def pscale(a, s):
-    s = Fraction(s)
-    if s == 0:
-        return ZERO
-    return tuple(x * s for x in a)
-
-
 def peval(c, x):
     """Horner evaluation at a Fraction (or int) point, exact."""
     acc = Fraction(0)
@@ -87,7 +80,7 @@ def pdivmod(a, b):
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     r = list(a)
-    db, lb = degree(b), b[-1]
+    lb = b[-1]
     while len(r) >= len(b) and any(x != 0 for x in r):
         while r and r[-1] == 0:
             r.pop()
@@ -195,16 +188,6 @@ def _variations(signs):
 
 def variations_at(chain, x):
     return _variations([sign(peval(p, x)) for p in chain])
-
-
-def variations_at_inf(chain, positive):
-    signs = []
-    for p in chain:
-        s = sign(p[-1])
-        if not positive and degree(p) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
 
 
 def _variation_diff(chain, a, b):

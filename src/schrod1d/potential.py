@@ -17,12 +17,12 @@ pointwise equality).
 """
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 from .prng import counter_value
-from .scalars import (INTEGER, RATIONAL, FLOAT, GAUSSIAN, RegimeError,
-                      coerce, decode_scalar, encode_scalar, regime_of)
+from .scalars import (INTEGER, coerce, decode_scalar, decode_scalar_any,
+                      encode_scalar, join_regimes, regime_of)
 
 
 def _floor_golden_multiple(n):
@@ -52,22 +52,7 @@ def _coerce_word(values, regime):
 
 
 def _infer_regime(values):
-    best = INTEGER
-    for v in values:
-        r = regime_of(v)
-        if r == GAUSSIAN:
-            if best not in (INTEGER, GAUSSIAN):
-                raise RegimeError("gaussian values mixed with %s" % best)
-            best = GAUSSIAN
-        elif r == FLOAT:
-            if best == GAUSSIAN:
-                raise RegimeError("gaussian values mixed with float")
-            best = FLOAT
-        elif r == RATIONAL and best == INTEGER:
-            best = RATIONAL
-        elif r == RATIONAL and best == GAUSSIAN:
-            raise RegimeError("gaussian values mixed with rational")
-    return best
+    return reduce(join_regimes, map(regime_of, values), INTEGER)
 
 
 class Potential:
@@ -91,22 +76,6 @@ class Potential:
 
     def to_json(self):
         raise NotImplementedError
-
-    def float_bounds(self, probe=None):
-        """Crude numeric value bounds (used for spectral search windows)."""
-        vals = self._bound_values()
-        fs = [_scalar_float_bound(v) for v in vals]
-        return min(fs), max(fs)
-
-    def _bound_values(self):
-        raise NotImplementedError
-
-
-def _scalar_float_bound(v):
-    r = regime_of(v)
-    if r == GAUSSIAN:
-        return float(v.abs2()) ** 0.5
-    return float(v)
 
 
 @dataclass(frozen=True)
@@ -142,9 +111,6 @@ class PeriodicPotential(Potential):
         return {"kind": "periodic", "regime": self.regime,
                 "word": [encode_scalar(v) for v in self.word],
                 "phase": self.phase}
-
-    def _bound_values(self):
-        return self.word
 
 
 @dataclass(frozen=True)
@@ -198,9 +164,6 @@ class EventuallyPeriodicPotential(Potential):
                 "core_start": self.core_start,
                 "right_word": [encode_scalar(v) for v in self.right_word]}
 
-    def _bound_values(self):
-        return self.left_word + self.core + self.right_word
-
 
 @dataclass(frozen=True)
 class SturmianPotential(Potential):
@@ -232,9 +195,6 @@ class SturmianPotential(Potential):
         return {"kind": "sturmian", "regime": self.regime,
                 "slope": "golden-ratio", "offset": self.offset,
                 "orientation": self.orientation}
-
-    def _bound_values(self):
-        return (0, 1)
 
 
 @dataclass(frozen=True)
@@ -268,9 +228,6 @@ class ExplicitPotential(Potential):
         return {"kind": "explicit", "regime": self.regime,
                 "window": [encode_scalar(v) for v in self.values],
                 "start": self.start, "outside": encode_scalar(self.outside)}
-
-    def _bound_values(self):
-        return self.values + (self.outside,)
 
 
 @dataclass(frozen=True)
@@ -314,9 +271,6 @@ class RandomPotential(Potential):
                 "index_offset": self.index_offset,
                 "orientation": self.orientation}
 
-    def _bound_values(self):
-        return self.values
-
 
 def periodic(word, phase=0, regime=None):
     """Build a periodic potential, inferring the regime when not given."""
@@ -345,33 +299,12 @@ def random_values(seed, values, regime=None):
     return RandomPotential(seed, values, regime=regime or _infer_regime(values))
 
 
-def eval_potential(p, n):
-    """Module-level alias of p.value(n)."""
-    return p.value(n)
-
-
 def reflect(p):
     return p.reflect()
 
 
 def shift(p, k):
     return p.shift(k)
-
-
-def _decode_scalar_any(v):
-    """Scalar from JSON without a declared regime: numbers as written,
-    strings as exact rationals, [re, im] pairs as Gaussian integers."""
-    if isinstance(v, bool):
-        raise RegimeError("boolean scalar rejected")
-    if isinstance(v, (int, float)):
-        return v
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 \
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in v):
-        from .scalars import GaussianInteger
-        return GaussianInteger(v[0], v[1])
-    raise ValueError("cannot decode scalar %r" % (v,))
 
 
 def potential_from_json(doc):
@@ -383,34 +316,29 @@ def potential_from_json(doc):
     kind = doc.get("kind")
     declared = "regime" in doc
     regime = doc.get("regime", INTEGER)
-
-    def dec(vs):
-        if declared:
-            return tuple(decode_scalar(v, regime) for v in vs)
-        return tuple(_decode_scalar_any(v) for v in vs)
+    given = regime if declared else None
 
     def dec1(v):
-        return decode_scalar(v, regime) if declared else _decode_scalar_any(v)
+        return decode_scalar(v, regime) if declared else decode_scalar_any(v)
+
+    def dec(vs):
+        return tuple(dec1(v) for v in vs)
 
     if kind == "periodic":
-        return periodic(dec(doc["word"]), doc.get("phase", 0),
-                        regime if declared else None)
+        return periodic(dec(doc["word"]), doc.get("phase", 0), given)
     if kind == "eventually_periodic":
         return eventually_periodic(
             dec(doc["left_word"]), dec(doc.get("core", [])),
-            doc["core_start"], dec(doc["right_word"]),
-            regime if declared else None)
+            doc["core_start"], dec(doc["right_word"]), given)
     if kind == "sturmian":
         if doc.get("slope", "golden-ratio") != "golden-ratio":
             raise ValueError("unsupported sturmian slope %r" % doc.get("slope"))
         return SturmianPotential(doc.get("offset", 0), doc.get("orientation", 1))
     if kind == "explicit":
         return explicit(dec(doc["window"]), doc["start"],
-                        dec1(doc.get("outside", 0)),
-                        regime if declared else None)
+                        dec1(doc.get("outside", 0)), given)
     if kind == "random":
-        base = random_values(doc["seed"], dec(doc["values"]),
-                             regime if declared else None)
+        base = random_values(doc["seed"], dec(doc["values"]), given)
         return replace(base, index_offset=doc.get("index_offset", 0),
                        orientation=doc.get("orientation", 1))
     raise ValueError("unknown potential kind %r" % (kind,))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .fsm import CutoffSequence, SectionScheme, run_fsm, stability_scan
 from .limitops import (fsm_applicability, full_line_kernel_scan,
                        halfline_invertible, is_fredholm, limit_operators)
-from .potential import eventually_periodic, fibonacci_value, periodic, sturmian
+from .potential import eventually_periodic, periodic, sturmian
 from .prng import CounterRng
 from .rings import RingSpec, validate_ring
 from .spectral import dirichlet_eigenvalues, truncation_spectrum

@@ -76,9 +76,6 @@ class RingSpec:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple(-x for x in a)
-
     def mul(self, a, b):
         """Product in the grid: r^(i+1) * r^(j+1) = r^(((i+j+1) mod n) + 1)."""
         n = self.order

@@ -172,7 +172,10 @@ def decode_scalar(v, regime):
     if regime == RATIONAL:
         if isinstance(v, str):
             num, _, den = v.partition("/")
-            return Fraction(int(num), int(den) if den else 1)
+            den = int(den) if den else 1
+            if den == 0:
+                raise ValueError("zero denominator in %r" % (v,))
+            return Fraction(int(num), den)
         if isinstance(v, int) and not isinstance(v, bool):
             return Fraction(v)
         raise RegimeError("expected rational encoding, got %r" % (v,))
@@ -189,35 +192,22 @@ def decode_scalar(v, regime):
     raise RegimeError("unknown regime %r" % (regime,))
 
 
-def exact_decimal(x):
-    """Exact string form for CSV export.
+def decode_scalar_any(v):
+    """Scalar from JSON without a declared regime: numbers as written,
+    strings as exact rationals, [re, im] pairs as Gaussian integers.
 
-    Integers and dyadic/decimal rationals print as exact decimals; other
-    rationals fall back to "p/q" (still exact); floats use repr (shortest
-    round-trip); Gaussian integers print as a+bi.
+    Malformed input raises ValueError (RegimeError for booleans).
     """
-    r = regime_of(x)
-    if r == INTEGER:
-        return str(x)
-    if r == FLOAT:
-        return repr(x)
-    if r == GAUSSIAN:
-        return "%d%+di" % (x.re, x.im)
-    num, den = x.numerator, x.denominator
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        return "%d/%d" % (num, den)
-    shift = max(twos, fives)
-    scaled = num * 10 ** shift // den
-    if shift == 0:
-        return str(scaled)
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
-    return "%s%s.%s" % (sign, digits[:-shift], digits[-shift:])
+    if isinstance(v, bool):
+        raise RegimeError("boolean scalar rejected")
+    if isinstance(v, (int, float)):
+        return v
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (v,)) from None
+    if isinstance(v, (list, tuple)) and len(v) == 2 \
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in v):
+        return GaussianInteger(v[0], v[1])
+    raise ValueError("cannot decode scalar %r" % (v,))

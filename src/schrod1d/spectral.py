@@ -19,7 +19,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from . import polynomials as pl
 from .potential import PeriodicPotential
-from .scalars import FLOAT, RegimeError
+from .scalars import RegimeError
 from .transfer import Discriminant, discriminant, symbolic_monodromy
 
 EDGE_WIDTH = Fraction(1, 2 ** 60)
@@ -51,10 +51,6 @@ class EdgeRoot:
     @property
     def approx(self):
         return float((self.lo + self.hi) / 2)
-
-    @property
-    def exact(self):
-        return self.lo if self.lo == self.hi else None
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,15 @@ def _log2_abs(x):
     return math.log2(abs(x))
 
 
+def _least_squares_slope(pts):
+    """Least-squares slope of y against x over (x, y) points with at least
+    two distinct x."""
+    x_mean = sum(x for x, _ in pts) / len(pts)
+    y_mean = sum(y for _, y in pts) / len(pts)
+    den = sum((x - x_mean) ** 2 for x, _ in pts)
+    return sum((x - x_mean) * (y - y_mean) for x, y in pts) / den
+
+
 GROWTH_SLOPE_THRESHOLD = 1e-3  # natural-log slope per step
 
 
@@ -176,12 +185,7 @@ def dirichlet_orbit(p, z, length):
     pts = [(n, v) for n, v in pts if v is not None]
     slope = 0.0
     if len(pts) >= 2:
-        n_mean = sum(n for n, _ in pts) / len(pts)
-        v_mean = sum(v for _, v in pts) / len(pts)
-        den = sum((n - n_mean) ** 2 for n, _ in pts)
-        if den > 0:
-            slope = sum((n - n_mean) * (v - v_mean) for n, v in pts) / den
-        slope *= math.log(2)  # natural log per step
+        slope = _least_squares_slope(pts) * math.log(2)  # natural log per step
     if slope > GROWTH_SLOPE_THRESHOLD:
         growth = "growth"
     elif slope < -GROWTH_SLOPE_THRESHOLD:

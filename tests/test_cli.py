@@ -1,8 +1,12 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import schrod1d
 from schrod1d import cli
 
 
@@ -177,3 +181,101 @@ def test_usage_error_on_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def _fsm_doc(**extra):
+    doc = {"potential": {"kind": "periodic", "word": [4]}, "z": 0,
+           "scheme": {"side": "half_line",
+                      "cutoffs": {"right": {"kind": "arithmetic",
+                                            "start": 4, "step": 4}}},
+           "count": 4}
+    doc.update(extra)
+    return doc
+
+
+def _word(word, **extra):
+    return {"potential": dict({"kind": "periodic", "word": word}, **extra)}
+
+
+MALFORMED = [
+    pytest.param("fsm", _fsm_doc(count="abc"), id="count-abc"),
+    pytest.param("fsm", _fsm_doc(rhs={"kind": "delta", "site": "x"}),
+                 id="rhs-site-x"),
+    pytest.param("fsm", [_fsm_doc()], id="fsm-top-level-array"),
+    pytest.param("bands", [_word([4])], id="bands-top-level-array"),
+    pytest.param("bands", {"potential": [4]}, id="potential-array"),
+    pytest.param("fsm", _fsm_doc(scheme={"side": "half_line", "cutoffs": {
+        "right": {"kind": "geometric", "start": 8, "ratio": 1e308}}}),
+        id="geometric-ratio-1e308"),
+    pytest.param("bands", _word([0.5, 1.0]), id="bands-float-word"),
+    pytest.param("bands", _word([[1, 1], 2]), id="bands-gaussian-word"),
+    pytest.param("bands", _word(["1/0", 1]), id="bands-zero-denominator"),
+    pytest.param("bands", _word(["1/0", 1], regime="rational"),
+                 id="bands-zero-denominator-rational"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word(["1/0", 1])),
+                 id="fsm-zero-denominator"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word(["1/0", 1],
+                                                  regime="rational")),
+                 id="fsm-zero-denominator-rational"),
+]
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED)
+def test_malformed_config_is_a_usage_error(tmp_path, command, doc):
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    src = os.path.dirname(os.path.dirname(schrod1d.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "schrod1d.cli", command, "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not (tmp_path / "out").exists() or \
+        not os.listdir(tmp_path / "out")
+
+
+# sha256 of artifacts that depend on exact arithmetic only; any change to
+# these bytes is a change of behaviour, not a refactor
+ARTIFACT_DIGESTS = {
+    ("1/2", 2, "1/2"): {
+        "bands.json": "073e3d29c0eb8ed6f4d74b3351905971"
+                      "e55bb460b3553066a98f1fd027642837",
+        "dirichlet.json": "a2310b2596b44b3c8c75fab197f91da8"
+                          "a1699284c25123e825e3114289a99967",
+        "bands.csv": "b94dc1a28a6906f891d826329ac6af51"
+                     "9108802d7a1658cf099139eada39576c",
+    },
+    (2, -1, 3): {
+        "bands.json": "23515e7952689aea0578eaad2da613d2"
+                      "6cc3932e5c107c98a8c5b60835cb9e92",
+        "dirichlet.json": "bbefc6c5ec3ea5acdb8639b914e82c63"
+                          "2c1d307df9f339cca94ac57a3c5b5999",
+        "bands.csv": "0e2fb748ebcafdad612f8bbf676a641e"
+                     "0e59688d172b194c5be2f99718b3eb27",
+    },
+}
+INTEGER_AVOIDANCE_50_DIGEST = ("81097382d07f368434b692cd09f12062"
+                               "1bda87a63dd58cbea6961c911ad19734")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("word", sorted(ARTIFACT_DIGESTS, key=str))
+def test_bands_artifact_digests(tmp_path, word):
+    cfg = bands_cfg(tmp_path, word=word)
+    out = tmp_path / "out"
+    assert cli.main(["bands", "--config", cfg, "--out", str(out)]) == 0
+    for name, digest in ARTIFACT_DIGESTS[word].items():
+        assert _sha256(out / name) == digest, name
+
+
+def test_integer_avoidance_artifact_digest(tmp_path):
+    assert cli.main(["reproduce", "integer-avoidance", "--count", "50",
+                     "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "integer-avoidance.json") == \
+        INTEGER_AVOIDANCE_50_DIGEST

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import schrod1d.limitops as lo
 import schrod1d.potential as pot
 from schrod1d.prng import CounterRng
-from schrod1d.scalars import RegimeError
+from schrod1d.scalars import GaussianInteger, RegimeError
 
 
 def kernel_example():
@@ -136,6 +136,12 @@ def test_applicability_input_checks():
         lo.fsm_applicability(pot.periodic([0.5]), 0)
     with pytest.raises(TypeError):
         lo.limit_operators(pot.sturmian())
+
+
+@pytest.mark.parametrize("word", [(0.5, 1.0), (GaussianInteger(1, 1), 2)])
+def test_halfline_invertible_exact_only(word):
+    with pytest.raises(RegimeError):
+        lo.halfline_invertible(pot.periodic(word), 0)
 
 
 def test_flip_duality():

@@ -4,7 +4,7 @@ import pytest
 
 from schrod1d.scalars import (FLOAT, GAUSSIAN, INTEGER, RATIONAL,
                               GaussianInteger, RegimeError, coerce,
-                              decode_scalar, encode_scalar, exact_decimal,
+                              decode_scalar, decode_scalar_any, encode_scalar,
                               join_regimes, regime_of)
 
 
@@ -69,7 +69,20 @@ def test_encode_decode_round_trip():
         assert decode_scalar(encode_scalar(value), regime) == value
 
 
-def test_exact_decimal():
-    assert exact_decimal(Fraction(1, 8)) == "0.125"
-    assert exact_decimal(Fraction(1, 3)) == "1/3"
-    assert exact_decimal(7) == "7"
+def test_decode_scalar_any():
+    assert decode_scalar_any(3) == 3 and decode_scalar_any(0.5) == 0.5
+    assert decode_scalar_any("-7/3") == Fraction(-7, 3)
+    assert decode_scalar_any([1, -2]) == GaussianInteger(1, -2)
+    with pytest.raises(RegimeError):
+        decode_scalar_any(True)
+    for bad in ("x", [1.5, 2], [1, 2, 3], None):
+        with pytest.raises(ValueError):
+            decode_scalar_any(bad)
+
+
+def test_zero_denominator_is_a_value_error():
+    # ValueError, not ZeroDivisionError, so config readers report it
+    with pytest.raises(ValueError, match="zero denominator"):
+        decode_scalar_any("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        decode_scalar("1/0", RATIONAL)
