@@ -20,8 +20,8 @@ from .fsm import CutoffSequence, GridVector, SectionScheme, run_fsm
 from .potential import PeriodicPotential, potential_from_json
 from .reproduce import REPRODUCTIONS, run_reproduction
 from .scalars import GAUSSIAN, INTEGER, RATIONAL, decode_scalar_any, regime_of
-from .spectral import dirichlet_eigenvalues, bands
-from .transfer import discriminant, monodromy_dirichlet_test
+from .spectral import dirichlet_eigenvalues
+from .transfer import monodromy_dirichlet_test
 
 EXIT_PASS = 0
 EXIT_FAILED = 1
@@ -123,7 +123,7 @@ def _potential_from_config(cfg):
         raise UsageError("config needs a 'potential' object")
     try:
         return potential_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise UsageError("bad potential document: %s" % exc)
 
 
@@ -142,12 +142,11 @@ def cmd_bands(args):
         raise UsageError("bands needs an integer or rational word, got %s"
                          % p.regime)
     out = _outdir(args, cfg)
-    bs = bands(discriminant(p))
     ds = dirichlet_eigenvalues(p)
+    bs = ds.band_set
     certificates = []
     if p.regime == INTEGER:
-        word = [p.value(n) for n in range(p.period)]
-        for z in range(min(word) - 3, max(word) + 4):
+        for z in range(min(p.word) - 3, max(p.word) + 4):
             certificates.append(monodromy_dirichlet_test(p, z))
     jsonio.write_json(os.path.join(out, "bands.json"), bs)
     jsonio.write_json(os.path.join(out, "dirichlet.json"), {

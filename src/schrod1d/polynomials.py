@@ -163,9 +163,10 @@ def sign(x):
     return 0
 
 
-def sturm_chain(c):
-    """Sturm chain of a (preferably square-free) polynomial."""
-    chain = [c, pderiv(c)]
+def sturm_chain(c, d=None):
+    """Signed remainder sequence of (c, d); with d = c' (the default) the
+    Sturm chain of a (preferably square-free) polynomial."""
+    chain = [c, pderiv(c) if d is None else d]
     while chain[-1]:
         rem = pdivmod(chain[-2], chain[-1])[1]
         if not rem:
@@ -255,9 +256,9 @@ def refine_root(c, lo, hi, width):
 
     Accepts degenerate [r, r] inputs unchanged. width is exact (Fraction).
     """
-    f = square_free(c)
     if lo == hi:
         return lo, hi
+    f = square_free(c)
     slo = sign(peval(f, lo))
     shi = sign(peval(f, hi))
     if slo == 0 or shi == 0 or slo == shi:

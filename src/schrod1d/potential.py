@@ -324,21 +324,27 @@ def potential_from_json(doc):
     def dec(vs):
         return tuple(dec1(v) for v in vs)
 
+    def index(name, *default):
+        v = doc.get(name, *default) if default else doc[name]
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError("%s must be an integer, got %r" % (name, v))
+        return v
+
     if kind == "periodic":
-        return periodic(dec(doc["word"]), doc.get("phase", 0), given)
+        return periodic(dec(doc["word"]), index("phase", 0), given)
     if kind == "eventually_periodic":
         return eventually_periodic(
             dec(doc["left_word"]), dec(doc.get("core", [])),
-            doc["core_start"], dec(doc["right_word"]), given)
+            index("core_start"), dec(doc["right_word"]), given)
     if kind == "sturmian":
         if doc.get("slope", "golden-ratio") != "golden-ratio":
             raise ValueError("unsupported sturmian slope %r" % doc.get("slope"))
-        return SturmianPotential(doc.get("offset", 0), doc.get("orientation", 1))
+        return SturmianPotential(index("offset", 0), index("orientation", 1))
     if kind == "explicit":
-        return explicit(dec(doc["window"]), doc["start"],
+        return explicit(dec(doc["window"]), index("start"),
                         dec1(doc.get("outside", 0)), given)
     if kind == "random":
-        base = random_values(doc["seed"], dec(doc["values"]), given)
-        return replace(base, index_offset=doc.get("index_offset", 0),
-                       orientation=doc.get("orientation", 1))
+        base = random_values(index("seed"), dec(doc["values"]), given)
+        return replace(base, index_offset=index("index_offset", 0),
+                       orientation=index("orientation", 1))
     raise ValueError("unknown potential kind %r" % (kind,))

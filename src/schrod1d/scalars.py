@@ -11,6 +11,7 @@ these scalars, so transfer products, orbits and determinants work in whatever
 regime the inputs join to.
 """
 
+import math
 from fractions import Fraction
 
 INTEGER = "integer"
@@ -182,6 +183,8 @@ def decode_scalar(v, regime):
     if regime == FLOAT:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise RegimeError("expected float encoding, got %r" % (v,))
+        if not math.isfinite(v):
+            raise ValueError("non-finite scalar %r" % (v,))
         return float(v)
     if regime == GAUSSIAN:
         if isinstance(v, (list, tuple)) and len(v) == 2:
@@ -200,6 +203,8 @@ def decode_scalar_any(v):
     """
     if isinstance(v, bool):
         raise RegimeError("boolean scalar rejected")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError("non-finite scalar %r" % (v,))
     if isinstance(v, (int, float)):
         return v
     if isinstance(v, str):

@@ -5,12 +5,13 @@ For a periodic potential the spectrum of the full-line operator is the set
 most `period` closed bands. The half-line compression with a Dirichlet
 condition adds at most one eigenvalue per spectral gap, located exactly by
 m12(z) = 0 together with |m22(z)| < 1 for the one-period transfer aligned at
-the cut. Everything on the exact side is done with Sturm chains over Q; the
-floating-point side wraps LAPACK's bisection eigensolver for symmetric
-tridiagonal sections.
+the cut. The exact side uses Sturm chains over Q, and the sign of m22 at a
+root of m12 is a Tarski query (Sylvester's theorem); the floating-point side
+wraps LAPACK's bisection eigensolver for symmetric tridiagonal sections.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,9 +161,7 @@ def bands(d):
         raise SpectralStructureError("discriminant has no band edges")
     edges = []
     for lo, hi in raw:
-        if lo != hi:
-            lo, hi = pl.refine_root(sf, lo, hi, EDGE_WIDTH)
-        edges.append(EdgeRoot(lo, hi))
+        edges.append(EdgeRoot(*pl.refine_root(sf, lo, hi, EDGE_WIDTH)))
 
     # exact sample points strictly between consecutive root intervals
     def sign_between(i):
@@ -229,60 +228,53 @@ class CrossValidationError(AssertionError):
 def _sign_of_poly_at_root(g, target, lo, hi):
     """Sign of g at the unique root of `target` inside (lo, hi).
 
-    Requires gcd(g, target) to have no root there (checked by the caller);
-    the interval is refined until g has no root inside, then the sign is
-    constant across it.
+    Tarski query (Sylvester's theorem): V(lo) - V(hi) over the signed
+    remainder sequence of (target, target' g) sums the sign of g over the
+    roots of target in (lo, hi), for lo and hi not roots. The caller's
+    gcd(m12, disc^2 - 4) test keeps g nonzero at the root.
     """
-    sg = pl.square_free(g)
-    while pl.count_roots_in(sg, lo, hi) > 0:
-        lo, hi = pl.refine_root(target, lo, hi, (hi - lo) / 4)
-    mid = (lo + hi) / 2
-    v = pl.peval(g, mid)
-    assert v != 0
-    return (1 if v > 0 else -1), lo, hi
+    chain = pl.sturm_chain(target, pl.pmul(pl.pderiv(target), g))
+    s = pl.variations_at(chain, lo) - pl.variations_at(chain, hi)
+    assert s in (1, -1)
+    return s
 
 
 def dirichlet_eigenvalues(p, cross_validate=True):
     """Point spectrum of the Dirichlet half-line compression, exact.
 
     Roots of m12 are isolated over Q; each is kept iff |m22| < 1 there,
-    decided by exact sign tests (the boundary case |m22| = 1 coincides with
-    roots of disc^2 - 4 and is rejected). Optionally cross-validates every
-    eigenvalue against LAPACK truncation spectra at sizes >= 60 * period.
+    decided by a Tarski query on m22^2 - 1 (the boundary case |m22| = 1
+    coincides with roots of disc^2 - 4 and is rejected). Optionally
+    cross-validates every eigenvalue against LAPACK truncation spectra at
+    sizes >= 60 * period.
     """
     if not isinstance(p, PeriodicPotential):
         raise TypeError("dirichlet_eigenvalues needs a periodic potential")
-    m11, m12, m21, m22 = symbolic_monodromy(p)
-    d = Discriminant(period=p.period, coeffs=pl.padd(m11, m22))
-    bs = bands(d)
-    warnings = []
+    _, m12, _, m22 = symbolic_monodromy(p)
+    bs = bands(p)
+    d = bs.disc.coeffs
     eigs = []
     rejected = []
     if pl.degree(m12) >= 1:
-        f4 = pl.psub(pl.pmul(d.coeffs, d.coeffs), pl.constant(4))
-        boundary = pl.pgcd(m12, f4)
+        boundary = pl.pgcd(m12, pl.psub(pl.pmul(d, d), pl.constant(4)))
         m22sq1 = pl.psub(pl.pmul(m22, m22), pl.constant(1))
-        target = pl.square_free(m12)
         for lo, hi in pl.isolate_real_roots(m12):
             if lo == hi:
                 val = pl.peval(m22, lo)
                 keep = abs(val) < 1
-                side = 0 if val == 0 else (1 if val > 0 else -1)
+                side = pl.sign(val)
             elif pl.degree(boundary) >= 1 and pl.count_roots_in(boundary, lo, hi):
                 keep = False  # |m22| = 1 exactly: band edge, no eigenvalue
                 side = None
             else:
-                sgn, lo, hi = _sign_of_poly_at_root(m22sq1, target, lo, hi)
-                keep = sgn < 0
-                sside, lo, hi = _sign_of_poly_at_root(m22, target, lo, hi)
-                side = sside
-            if lo != hi:
-                lo, hi = pl.refine_root(target, lo, hi, EDGE_WIDTH)
-            approx = float((lo + hi) / 2)
+                keep = _sign_of_poly_at_root(m22sq1, m12, lo, hi) < 0
+                side = _sign_of_poly_at_root(m22, m12, lo, hi)
+            lo, hi = pl.refine_root(m12, lo, hi, EDGE_WIDTH)
+            mid = (lo + hi) / 2
+            approx = float(mid)
             if not keep:
                 rejected.append(approx)
                 continue
-            mid = (lo + hi) / 2
             loc = bs.locate(mid)
             if loc["kind"] == "band":
                 raise AssertionError("eigenvalue located inside a band")
@@ -290,13 +282,9 @@ def dirichlet_eigenvalues(p, cross_validate=True):
             eigs.append(DirichletEigenvalue(
                 lo=lo, hi=hi, approx=approx, location=location,
                 gap_index=loc["index"], m22_side=side))
-    per_gap = {}
-    for e in eigs:
-        key = (e.location, e.gap_index)
-        per_gap[key] = per_gap.get(key, 0) + 1
-    for key, cnt in per_gap.items():
-        if cnt > 1:
-            warnings.append("multiple Dirichlet eigenvalues share gap %r" % (key,))
+    per_gap = Counter((e.location, e.gap_index) for e in eigs)
+    warnings = ["multiple Dirichlet eigenvalues share gap %r" % (key,)
+                for key, cnt in per_gap.items() if cnt > 1]
 
     if cross_validate and eigs:
         for size in (60 * p.period, 240 * p.period, 960 * p.period):

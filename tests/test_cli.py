@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import schrod1d
-from schrod1d import cli
+from schrod1d import cli, spectral
 
 
 def write_cfg(tmp_path, name, doc):
@@ -217,6 +217,22 @@ MALFORMED = [
     pytest.param("fsm", dict(_fsm_doc(), **_word(["1/0", 1],
                                                   regime="rational")),
                  id="fsm-zero-denominator-rational"),
+    pytest.param("fsm", _fsm_doc(z=float("nan")), id="fsm-z-nan"),
+    pytest.param("fsm", _fsm_doc(z=float("inf")), id="fsm-z-infinity"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word([float("nan"), 1])),
+                 id="fsm-nan-word"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word([float("inf"), 1],
+                                                  regime="float")),
+                 id="fsm-infinite-word-float"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word([10 ** 400, 1],
+                                                  regime="float")),
+                 id="fsm-huge-int-word-float"),
+    pytest.param("fsm", dict(_fsm_doc(), potential={
+        "kind": "explicit", "window": [1], "start": "x"}),
+        id="explicit-start-x"),
+    pytest.param("bands", _word([4], phase="x"), id="periodic-phase-x"),
+    pytest.param("fsm", dict(_fsm_doc(), potential={
+        "kind": "sturmian", "offset": 1.5}), id="sturmian-offset-float"),
 ]
 
 
@@ -237,6 +253,32 @@ def test_malformed_config_is_a_usage_error(tmp_path, command, doc):
         not os.listdir(tmp_path / "out")
 
 
+def test_bad_index_field_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", _word([4], phase="x"))
+    assert cli.main(["bands", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "phase must be an integer" in capsys.readouterr().err
+
+
+def test_bands_builds_one_band_set(tmp_path, monkeypatch):
+    # every schrod1d module that binds spectral.bands gets the counting copy
+    calls = []
+    original = spectral.bands
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("schrod1d") and \
+                getattr(mod, "bands", None) is original:
+            monkeypatch.setattr(mod, "bands", counted)
+    cfg = bands_cfg(tmp_path, word=(0, 1, 3, 0, 1, 3))
+    assert cli.main(["bands", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 # sha256 of artifacts that depend on exact arithmetic only; any change to
 # these bytes is a change of behaviour, not a refactor
 ARTIFACT_DIGESTS = {
@@ -255,6 +297,26 @@ ARTIFACT_DIGESTS = {
                           "2c1d307df9f339cca94ac57a3c5b5999",
         "bands.csv": "0e2fb748ebcafdad612f8bbf676a641e"
                      "0e59688d172b194c5be2f99718b3eb27",
+    },
+    # irrational kept eigenvalue, irrational rejected root and closed-gap
+    # roots of m12 with |m22| = 1 (the word is (0, 1, 3) twice)
+    (0, 1, 3, 0, 1, 3): {
+        "bands.json": "23997a2615964c6b03755acb3b07d00a"
+                      "478f822f926985ce16aaeebf2f8f7446",
+        "dirichlet.json": "fb26866198808972c5eb62476ee1ed18"
+                          "2dfd55a9ba68b76b21d45858a96f0377",
+        "bands.csv": "03cc201e07a0bb40d888d6e7ae07e60d"
+                     "0163b166fcedfaacfb14e1efd90e5bd8",
+    },
+    # an exact root of m12 at a closed gap (z = 0), and roots at a band
+    # edge (z = 1) and a closed gap (z = 3) that the boundary test rejects
+    (1, 2, 1, 2): {
+        "bands.json": "0a9dfc9d9624552c4974dd7093eae996"
+                      "3aceddf7a8bf5bdb079b9c36103ac389",
+        "dirichlet.json": "d7e5b9a2490450813c9833d4412c1d8e"
+                          "be2edd14c25c4a7d4f393f32634e96a9",
+        "bands.csv": "2dcb6884a6768dd96d4d1563fe32a7b9"
+                     "ad713a273d91ef052ecd3e5663ef2d41",
     },
 }
 INTEGER_AVOIDANCE_50_DIGEST = ("81097382d07f368434b692cd09f12062"

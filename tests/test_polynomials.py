@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import schrod1d.polynomials as pl
 
@@ -106,6 +106,22 @@ def test_count_roots_in():
     assert pl.count_roots_in(f, F(0), F(3)) == 1  # open interval: 0 excluded
     assert pl.count_roots_in(f, F(1), F(3)) == 1
     assert pl.count_roots_in(f, F(3), F(5)) == 0
+
+
+@given(st.lists(small_fracs, min_size=1, max_size=5, unique=True),
+       polys, small_fracs, small_fracs)
+@settings(max_examples=150, deadline=None)
+def test_tarski_query_counts_signs(roots, g, a, b):
+    # Sylvester: for a < b not roots of P, V(a) - V(b) over the signed
+    # remainder sequence of (P, P'g) is the sum of sign g(r) over the roots
+    # r of P in (a, b]
+    assume(a < b and a not in roots and b not in roots)
+    p = pl.ONE
+    for r in roots:
+        p = pl.pmul(p, pl.poly([-r, 1]))
+    chain = pl.sturm_chain(p, pl.pmul(pl.pderiv(p), g))
+    expected = sum(pl.sign(pl.peval(g, r)) for r in roots if a < r <= b)
+    assert pl.variations_at(chain, a) - pl.variations_at(chain, b) == expected
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1,

@@ -80,6 +80,15 @@ def test_decode_scalar_any():
             decode_scalar_any(bad)
 
 
+def test_non_finite_float_is_a_value_error():
+    # JSON readers accept NaN and Infinity; neither is a potential value or z
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            decode_scalar_any(x)
+        with pytest.raises(ValueError, match="non-finite"):
+            decode_scalar(x, FLOAT)
+
+
 def test_zero_denominator_is_a_value_error():
     # ValueError, not ZeroDivisionError, so config readers report it
     with pytest.raises(ValueError, match="zero denominator"):

@@ -127,6 +127,20 @@ def test_dirichlet_eigenvalue_exact_zero():
     assert ds.warnings == ()
 
 
+@pytest.mark.parametrize("word", [(2, -1, 3), (0, 1, 3)])
+def test_dirichlet_irrational_root_m22_side(word):
+    # irrational roots of m12 take the Tarski-query path; m22 there has the
+    # sign of the numeric monodromy at the approximation
+    p = pot.periodic(word)
+    ds = sp.dirichlet_eigenvalues(p)
+    irrational = [e for e in ds.eigenvalues if e.lo != e.hi]
+    assert irrational
+    for e in irrational:
+        m22 = tr.monodromy(p, e.approx).d
+        assert abs(m22) < 1
+        assert e.m22_side == (1 if m22 > 0 else -1)
+
+
 def test_dirichlet_none_for_constant():
     ds = sp.dirichlet_eigenvalues(pot.periodic([4]))
     assert ds.eigenvalues == () and ds.rejected == ()
