@@ -56,17 +56,28 @@ def _parse_z(doc):
     return z
 
 
+def _int_field(doc, key, default, label):
+    """doc[key] (or the default), which must be an int: a float, bool or
+    string is a usage error naming the field, never truncated."""
+    v = doc.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise UsageError("%s must be an integer, got %r" % (label, v))
+    return v
+
+
 def _parse_cutoffs(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise UsageError("cutoff document needs a 'kind' field")
     kind = doc["kind"]
     try:
         if kind == "arithmetic":
-            return CutoffSequence.arithmetic(int(doc.get("start", 8)),
-                                             int(doc.get("step", 8)))
+            return CutoffSequence.arithmetic(
+                _int_field(doc, "start", 8, "cutoff start"),
+                _int_field(doc, "step", 8, "cutoff step"))
         if kind == "geometric":
-            return CutoffSequence.geometric(int(doc.get("start", 8)),
-                                            float(doc.get("ratio", 1.5)))
+            return CutoffSequence.geometric(
+                _int_field(doc, "start", 8, "cutoff start"),
+                float(doc.get("ratio", 1.5)))
         if kind == "explicit":
             return CutoffSequence.explicit(doc.get("values", ()))
     except (ValueError, TypeError, OverflowError) as exc:
@@ -105,12 +116,12 @@ def _parse_rhs(doc):
         raise UsageError("rhs document needs a 'kind' field")
     try:
         if doc["kind"] == "delta":
-            return GridVector.delta(int(doc.get("site", 0)))
+            return GridVector.delta(_int_field(doc, "site", 0, "rhs site"))
         if doc["kind"] == "vector":
             values = doc.get("values")
             if not values:
                 raise UsageError("rhs vector needs nonempty 'values'")
-            return GridVector(start=int(doc.get("start", 0)),
+            return GridVector(start=_int_field(doc, "start", 0, "rhs start"),
                               values=tuple(float(v) for v in values))
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError("bad rhs document: %s" % exc)
@@ -178,10 +189,7 @@ def cmd_fsm(args):
     z = _parse_z(cfg.get("z", 0))
     scheme = _parse_scheme(cfg.get("scheme"))
     rhs = _parse_rhs(cfg.get("rhs"))
-    try:
-        count = int(cfg.get("count", 12))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError("bad count: %s" % exc)
+    count = _int_field(cfg, "count", 12, "count")
     out = _outdir(args, cfg)
     try:
         report = run_fsm(p, z, scheme, rhs=rhs, count=count)

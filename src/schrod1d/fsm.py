@@ -56,7 +56,11 @@ class CutoffSequence:
 
     @classmethod
     def explicit(cls, values):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
+        bad = [v for v in vals if isinstance(v, bool) or not isinstance(v, int)]
+        if bad:
+            raise ValueError("explicit cutoff values must be integers, got %r"
+                             % bad[0])
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])) or vals[0] < 1:
             raise ValueError("explicit cutoffs must be strictly increasing, >= 1")
         return cls(kind="explicit", explicit_values=vals)

@@ -1,10 +1,20 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 Coefficient tuples are ascending (c[0] + c[1] x + ...), trailing zeros
-trimmed, () is the zero polynomial. Everything here is exact Fraction
-arithmetic; these routines back the Floquet discriminants, the half-line
-matching polynomials and the band-edge isolation, where floating point is
-not allowed to make decisions.
+trimmed, () is the zero polynomial. Values are exact Fractions; these
+routines back the Floquet discriminants, the half-line matching polynomials
+and the band-edge isolation, where floating point is not allowed to make
+decisions.
+
+Every decision on the root-finding path is a sign or a count of sign
+variations, and a positive scale factor changes neither. So that path runs
+on integers: `primitive` scales a polynomial to coprime integer
+coefficients, `psign` reads the sign at a/b from the homogeneous form
+sum c_i a^i b^(d-i), and Sturm chains and gcds are primitive pseudo-remainder
+sequences over Z (Collins 1967; Brown & Traub 1971). Bisection points are
+kept as integer numerators over a shared denominator, so no Fraction
+arithmetic runs inside a bisection loop. `peval` stays the exact-value
+evaluator.
 
 Root isolation follows the classical Sturm bisection: build the Sturm chain
 of the square-free part, count sign variations at rational points, split
@@ -13,6 +23,7 @@ bisection midpoint are returned as degenerate [r, r] intervals.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = ()
 ONE = (Fraction(1),)
@@ -51,15 +62,20 @@ def pneg(a):
 
 
 def pmul(a, b):
+    """Product over Q, convolved over Z after clearing denominators."""
     if not a or not b:
         return ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return poly(out)
+    da, ia = _scaled(a)
+    db, ib = _scaled(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(ia):
+        if x:
+            for j, y in enumerate(ib):
+                out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    den = da * db
+    return tuple(Fraction(x, den) for x in out)
 
 
 def peval(c, x):
@@ -98,26 +114,95 @@ def pdivmod(a, b):
 def pmonic(c):
     if not c:
         return ZERO
-    return tuple(x / c[-1] for x in c)
+    lead = Fraction(c[-1])
+    return tuple(x / lead for x in c)
+
+
+def _scaled(c):
+    """(den, integer coefficients n) with c = n / den, den > 0."""
+    den = 1
+    for x in c:
+        den = lcm(den, x.denominator)
+    return den, [x.numerator * (den // x.denominator) for x in c]
+
+
+def primitive(c):
+    """The positive multiple of c with coprime integer coefficients."""
+    return _content_free(_scaled(c)[1])
+
+
+def _content_free(ic):
+    """Trimmed integer list divided by its (positive) content, as a tuple."""
+    while ic and ic[-1] == 0:
+        ic.pop()
+    g = gcd(*ic)
+    if g > 1:
+        return tuple(x // g for x in ic)
+    return tuple(ic)
+
+
+def _ideriv(ic):
+    return _content_free([i * ic[i] for i in range(1, len(ic))])
+
+
+def _prem(a, b):
+    """Primitive positive multiple of rem(a, b) over Q, for integer a, b.
+
+    Pseudo-division by b with a positive leading coefficient multiplies a by
+    lc^e > 0 only; when deg a < deg b the remainder is a itself.
+    """
+    if b[-1] < 0:
+        b = tuple(-x for x in b)
+    lb = b[-1]
+    nb = len(b) - 1
+    r = list(a)
+    while len(r) > nb:
+        lead = r.pop()
+        if lead:
+            k = len(r) - nb
+            if lb != 1:
+                r = [x * lb for x in r]
+            for i in range(nb):
+                r[k + i] -= lead * b[i]
+    return _content_free(r)
+
+
+def _igcd(a, b):
+    """Primitive gcd of integer polynomials, by the primitive PRS."""
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _iquo(a, b):
+    """Exact quotient a / b of integer polynomials, b dividing a over Z."""
+    lb = b[-1]
+    nb = len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - nb)
+    for k in range(len(q) - 1, -1, -1):
+        f = r.pop() // lb
+        q[k] = f
+        for i in range(nb):
+            r[k + i] -= f * b[i]
+    assert not any(r)
+    return tuple(q)
 
 
 def pgcd(a, b):
-    """Monic gcd over Q."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a)
+    """Monic gcd over Q, from a primitive remainder sequence over Z."""
+    return pmonic(_igcd(primitive(a), primitive(b)))
 
 
 def square_free(c):
-    """Square-free part c / gcd(c, c')."""
+    """Square-free part c / gcd(c, c'), monic."""
     if degree(c) <= 0:
-        return pmonic(c) if c else ZERO
-    g = pgcd(c, pderiv(c))
-    if degree(g) <= 0:
         return pmonic(c)
-    q, r = pdivmod(c, g)
-    assert not r
-    return pmonic(q)
+    ic = primitive(c)
+    g = _igcd(ic, _ideriv(ic))
+    if len(g) > 1:
+        ic = _iquo(ic, g)
+    return pmonic(ic)
 
 
 def yun_decomposition(c):
@@ -151,7 +236,8 @@ def real_root_count_with_multiplicity(c):
     for factor, mult in yun_decomposition(c):
         chain = sturm_chain(factor)
         bound = cauchy_bound(factor)
-        total += mult * _variation_diff(chain, -bound, bound)
+        total += mult * (variations_at(chain, -bound)
+                         - variations_at(chain, bound))
     return total
 
 
@@ -164,36 +250,55 @@ def sign(x):
 
 
 def sturm_chain(c, d=None):
-    """Signed remainder sequence of (c, d); with d = c' (the default) the
-    Sturm chain of a (preferably square-free) polynomial."""
-    chain = [c, pderiv(c) if d is None else d]
+    """Signed remainder sequence of (c, d), each element scaled to a
+    primitive integer polynomial; with d = c' (the default) the Sturm chain
+    of a (preferably square-free) polynomial."""
+    first = primitive(c)
+    chain = [first, _ideriv(first) if d is None else primitive(d)]
     while chain[-1]:
-        rem = pdivmod(chain[-2], chain[-1])[1]
+        rem = _prem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(pneg(rem))
     return [p for p in chain if p]
 
 
-def _variations(signs):
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            v += 1
-        prev = s
-    return v
+def _hsign(ic, a, bpow):
+    """Sign of sum ic[i] a^i b^(d-i) with bpow[j] = b^j, b > 0."""
+    d = len(ic) - 1
+    acc = ic[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * a + ic[i] * bpow[d - i]
+    return (acc > 0) - (acc < 0)
+
+
+def _powers(b, n):
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * b)
+    return out
+
+
+def psign(ic, x):
+    """Sign of the integer polynomial ic at the rational x, exactly."""
+    if not ic:
+        return 0
+    return _hsign(ic, x.numerator, _powers(x.denominator, len(ic) - 1))
+
+
+def _sturm_at(chain, a, b):
+    """(sign variations of the chain, sign of chain[0]) at a/b, b > 0."""
+    if not chain:
+        return 0, 0
+    # only chain[1] can outgrow chain[0] (a Tarski chain); degrees then fall
+    bpow = _powers(b, max(map(len, chain[:2])) - 1)
+    signs = [_hsign(p, a, bpow) for p in chain]
+    nonzero = [s for s in signs if s]
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
 
 
 def variations_at(chain, x):
-    return _variations([sign(peval(p, x)) for p in chain])
-
-
-def _variation_diff(chain, a, b):
-    """Roots of chain[0] in (a, b]; requires chain[0](a) != 0."""
-    return variations_at(chain, a) - variations_at(chain, b)
+    return _sturm_at(chain, x.numerator, x.denominator)[0]
 
 
 def cauchy_bound(c):
@@ -219,34 +324,42 @@ def isolate_real_roots(c):
     bound = cauchy_bound(f)
     out = []
 
-    def nonroot_gap(mid, lo, hi):
-        # shrink around an exact root until (mid-d, mid+d) holds only it
-        d = (hi - lo) / 4
+    # an interval is (a, b, d, V(a/d), V(b/d), sign of f at b/d)
+    def split_at_root(a, b, d, va, vb, sb):
+        # the midpoint is an exact root: shrink a symmetric gap around it,
+        # with points over den, until the gap holds only that root
+        den, mid, w = 4 * d, 2 * (a + b), b - a
         while True:
-            a, b = mid - d, mid + d
-            if a > lo and b < hi and peval(f, a) != 0 and peval(f, b) != 0 \
-                    and variations_at(chain, a) - variations_at(chain, b) == 1:
-                return a, b
-            d /= 2
+            vx, sx = _sturm_at(chain, mid - w, den)
+            vy, sy = _sturm_at(chain, mid + w, den)
+            if sx and sy and vx - vy == 1:
+                s = den // d
+                return [(a * s, mid - w, den, va, vx, sx),
+                        (mid + w, b * s, den, vy, vb, sb)]
+            mid *= 2
+            den *= 2
 
-    stack = [(-bound, bound, _variation_diff(chain, -bound, bound))]
+    n0, d0 = bound.numerator, bound.denominator
+    vlo = _sturm_at(chain, -n0, d0)[0]
+    vhi, shi = _sturm_at(chain, n0, d0)
+    stack = [(-n0, n0, d0, vlo, vhi, shi)]
     while stack:
-        lo, hi, n = stack.pop()
+        a, b, d, va, vb, sb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
-        if n == 1 and peval(f, hi) != 0:
-            out.append((lo, hi))
+        if n == 1 and sb != 0:
+            out.append((Fraction(a, d), Fraction(b, d)))
             continue
-        mid = (lo + hi) / 2
-        if peval(f, mid) == 0:
-            out.append((mid, mid))
-            a, b = nonroot_gap(mid, lo, hi)
-            stack.append((lo, a, variations_at(chain, lo) - variations_at(chain, a)))
-            stack.append((b, hi, variations_at(chain, b) - variations_at(chain, hi)))
+        m, d2 = a + b, 2 * d
+        vm, sm = _sturm_at(chain, m, d2)
+        if sm == 0:
+            r = Fraction(m, d2)
+            out.append((r, r))
+            stack.extend(split_at_root(a, b, d, va, vb, sb))
         else:
-            left = variations_at(chain, lo) - variations_at(chain, mid)
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, n - left))
+            stack.append((2 * a, m, d2, va, vm, sm))
+            stack.append((m, 2 * b, d2, vm, vb, sb))
     out.sort(key=lambda iv: iv[0])
     return out
 
@@ -255,25 +368,35 @@ def refine_root(c, lo, hi, width):
     """Bisect an isolating interval of a simple root down to the given width.
 
     Accepts degenerate [r, r] inputs unchanged. width is exact (Fraction).
+    The interval holds one root of c, so when c changes sign across it
+    bisecting c takes the same branches as bisecting its square-free part;
+    only a root of even multiplicity needs square_free(c).
     """
     if lo == hi:
         return lo, hi
-    f = square_free(c)
-    slo = sign(peval(f, lo))
-    shi = sign(peval(f, hi))
+    f = primitive(c)
+    slo, shi = psign(f, lo), psign(f, hi)
     if slo == 0 or shi == 0 or slo == shi:
-        raise ValueError("interval does not isolate a simple root")
+        f = primitive(square_free(c))
+        slo, shi = psign(f, lo), psign(f, hi)
+        if slo == 0 or shi == 0 or slo == shi:
+            raise ValueError("interval does not isolate a simple root")
     width = Fraction(width)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = sign(peval(f, mid))
+    # lo = a / d, hi = b / d; each step doubles d
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    while (b - a) * width.denominator > width.numerator * d:
+        m, d = a + b, 2 * d
+        sm = _hsign(f, m, _powers(d, len(f) - 1))
         if sm == 0:
-            return mid, mid
+            r = Fraction(m, d)
+            return r, r
         if sm == slo:
-            lo = mid
+            a, b = m, 2 * b
         else:
-            hi = mid
-    return lo, hi
+            a, b = 2 * a, m
+    return Fraction(a, d), Fraction(b, d)
 
 
 def count_roots_in(c, lo, hi):
@@ -285,7 +408,8 @@ def count_roots_in(c, lo, hi):
     if degree(f) <= 0:
         return 0
     chain = sturm_chain(f)
-    n = variations_at(chain, lo) - variations_at(chain, hi)
-    if peval(f, hi) == 0:
+    vhi, shi = _sturm_at(chain, hi.numerator, hi.denominator)
+    n = variations_at(chain, lo) - vhi
+    if shi == 0:
         n -= 1
     return n

@@ -5,9 +5,10 @@ For a periodic potential the spectrum of the full-line operator is the set
 most `period` closed bands. The half-line compression with a Dirichlet
 condition adds at most one eigenvalue per spectral gap, located exactly by
 m12(z) = 0 together with |m22(z)| < 1 for the one-period transfer aligned at
-the cut. The exact side uses Sturm chains over Q, and the sign of m22 at a
-root of m12 is a Tarski query (Sylvester's theorem); the floating-point side
-wraps LAPACK's bisection eigensolver for symmetric tridiagonal sections.
+the cut. The exact side uses Sturm chains (integer pseudo-remainder
+sequences), and the sign of m22 at a root of m12 is a Tarski query
+(Sylvester's theorem); the floating-point side wraps LAPACK's bisection
+eigensolver for symmetric tridiagonal sections.
 """
 
 import math
@@ -164,6 +165,8 @@ def bands(d):
         edges.append(EdgeRoot(*pl.refine_root(sf, lo, hi, EDGE_WIDTH)))
 
     # exact sample points strictly between consecutive root intervals
+    fi = pl.primitive(f)
+
     def sign_between(i):
         if i < 0:
             s = edges[0].lo - 1
@@ -171,10 +174,10 @@ def bands(d):
             s = edges[-1].hi + 1
         else:
             s = (edges[i].hi + edges[i + 1].lo) / 2
-        v = pl.peval(f, s)
+        v = pl.psign(fi, s)
         if v == 0:
             raise AssertionError("sample point hit a root")
-        return 1 if v > 0 else -1
+        return v
 
     segs = [sign_between(i) for i in range(-1, len(edges))]
     if segs[0] != 1 or segs[-1] != 1:

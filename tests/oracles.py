@@ -2,11 +2,15 @@
 
 Deliberately different algorithms from the package: determinants by
 fraction-free Bareiss elimination on dense matrices, the golden-mean word
-by explicit block concatenation, closed forms written out directly.
+by explicit block concatenation, closed forms written out directly, and
+the Sturm route over Q (Euclidean remainders with Fraction coefficients,
+signs read from exact values) that the package's integer kernels replace.
 """
 
 from fractions import Fraction
 from math import cos, lcm, pi, sqrt
+
+import schrod1d.polynomials as pl
 
 
 def bareiss_determinant(rows):
@@ -92,3 +96,57 @@ def halfline_constant4_x0():
 def fullline_constant4_x0():
     """x_0 of the full-line solution of (H - 0) x = e_0 for v = 4."""
     return 1 / sqrt(12)
+
+
+def fraction_sturm_chain(c, d=None):
+    """Signed remainder sequence of (c, d) by Euclidean division over Q,
+    d = c' by default; every element keeps its Fraction coefficients."""
+    chain = [c, pl.pderiv(c) if d is None else d]
+    while chain[-1]:
+        rem = pl.pdivmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(pl.pneg(rem))
+    return [p for p in chain if p]
+
+
+def fraction_variations_at(chain, x):
+    """Sign variations of the chain's exact values at x, zeros skipped."""
+    signs = [pl.sign(pl.peval(p, x)) for p in chain]
+    nonzero = [s for s in signs if s]
+    return sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t)
+
+
+def fraction_gcd(a, b):
+    """Monic gcd over Q by the Euclidean algorithm on Fractions."""
+    while b:
+        a, b = b, pl.pdivmod(a, b)[1]
+    return pl.pmonic(a)
+
+
+def fraction_square_free(c):
+    """c / gcd(c, c'), monic, by division over Q."""
+    if pl.degree(c) <= 0:
+        return pl.pmonic(c)
+    q, r = pl.pdivmod(c, fraction_gcd(c, pl.pderiv(c)))
+    assert not r
+    return pl.pmonic(q)
+
+
+def fraction_refine_root(c, lo, hi, width):
+    """Bisect the square-free part of c on (lo, hi) down to width, with
+    Fraction midpoints and exact values."""
+    if lo == hi:
+        return lo, hi
+    f = fraction_square_free(c)
+    slo = pl.sign(pl.peval(f, lo))
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        sm = pl.sign(pl.peval(f, mid))
+        if sm == 0:
+            return mid, mid
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

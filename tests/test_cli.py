@@ -193,6 +193,11 @@ def _fsm_doc(**extra):
     return doc
 
 
+def _cutoff_doc(**cutoff):
+    right = dict({"kind": "arithmetic", "start": 4, "step": 4}, **cutoff)
+    return _fsm_doc(scheme={"side": "half_line", "cutoffs": {"right": right}})
+
+
 def _word(word, **extra):
     return {"potential": dict({"kind": "periodic", "word": word}, **extra)}
 
@@ -233,6 +238,19 @@ MALFORMED = [
     pytest.param("bands", _word([4], phase="x"), id="periodic-phase-x"),
     pytest.param("fsm", dict(_fsm_doc(), potential={
         "kind": "sturmian", "offset": 1.5}), id="sturmian-offset-float"),
+    pytest.param("fsm", _cutoff_doc(start=4.9), id="cutoff-start-float"),
+    pytest.param("fsm", _cutoff_doc(step=True), id="cutoff-step-bool"),
+    pytest.param("fsm", _cutoff_doc(kind="geometric", start=8.5, ratio=2),
+                 id="geometric-start-float"),
+    pytest.param("fsm", _cutoff_doc(kind="explicit", values=[3.7, 5, 9]),
+                 id="explicit-values-float"),
+    pytest.param("fsm", _fsm_doc(rhs={"kind": "delta", "site": 0.5}),
+                 id="rhs-site-float"),
+    pytest.param("fsm", _fsm_doc(rhs={"kind": "vector", "start": 3.7,
+                                      "values": [1.0]}),
+                 id="rhs-start-float"),
+    pytest.param("fsm", _fsm_doc(count=3.7), id="count-float"),
+    pytest.param("fsm", _fsm_doc(count=True), id="count-bool"),
 ]
 
 
@@ -258,6 +276,18 @@ def test_bad_index_field_is_named(tmp_path, capsys):
     assert cli.main(["bands", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
     assert "phase must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoff,message", [
+    ({"start": 4.9}, "cutoff start must be an integer, got 4.9"),
+    ({"step": True}, "cutoff step must be an integer, got True"),
+    ({"kind": "explicit", "values": [5, 11.5]},
+     "explicit cutoff values must be integers, got 11.5")])
+def test_bad_int_field_is_named(tmp_path, capsys, cutoff, message):
+    cfg = write_cfg(tmp_path, "c.json", _cutoff_doc(**cutoff))
+    assert cli.main(["fsm", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bands_builds_one_band_set(tmp_path, monkeypatch):
@@ -317,6 +347,24 @@ ARTIFACT_DIGESTS = {
                           "be2edd14c25c4a7d4f393f32634e96a9",
         "bands.csv": "2dcb6884a6768dd96d4d1563fe32a7b9"
                      "ad713a273d91ef052ecd3e5663ef2d41",
+    },
+    # the deepest chains and largest coefficients of the benchmark's range:
+    # a period-12 integer word and a period-8 p/q word
+    (-2, 3, 2, 0, 1, 1, -1, -1, -2, -3, -3, 3): {
+        "bands.json": "bceeb1306d6bff9d0d6a6a1cf1c3741d"
+                      "c0d9e89653f615e9c1061c4d731280bd",
+        "dirichlet.json": "263295505138788c7892c9d08f836478"
+                          "4d2b27d852fd08dee8c61fa28ad88232",
+        "bands.csv": "c990d714e3ec6a633fff0096692aed98"
+                     "befe5e1576d9d6b00286143411a6293c",
+    },
+    ("5/4", "1/2", 0, 2, "1/3", "-2/3", "-3/2", -1): {
+        "bands.json": "140ddb3eebee59d98f354d9a2e0b537c"
+                      "cea75cc0b899fb649c7b48619ac73783",
+        "dirichlet.json": "61edc40cde3920a71b7b00766abf39a8"
+                          "8e0fcac1f95ede25effbed1dd4ea3096",
+        "bands.csv": "af6da24ae7386bff562bfbd1c18bc127"
+                     "f854308811a2399dd5e63b5245871695",
     },
 }
 INTEGER_AVOIDANCE_50_DIGEST = ("81097382d07f368434b692cd09f12062"

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import schrod1d.polynomials as pl
+from oracles import (fraction_gcd, fraction_refine_root, fraction_square_free,
+                     fraction_sturm_chain, fraction_variations_at)
 
 
 def frac(n, d=1):
@@ -139,6 +141,92 @@ def test_isolation_isolates_all_roots(int_roots):
     # ordered, pairwise disjoint as open intervals
     for (_, h1), (l2, _) in zip(intervals, intervals[1:]):
         assert h1 <= l2
+
+
+# rational polynomials with repeated and rational roots: a nonzero scalar
+# (either sign) times prod (x - r)^m times a random cofactor
+rational_roots = st.lists(st.tuples(small_fracs, st.integers(1, 3)),
+                          min_size=0, max_size=3)
+nonzero_fracs = small_fracs.filter(lambda x: x != 0)
+
+
+@st.composite
+def rooted_polys(draw):
+    roots = draw(rational_roots)
+    p = pl.constant(draw(nonzero_fracs))
+    for r, m in roots:
+        for _ in range(m):
+            p = pl.pmul(p, pl.poly([-r, 1]))
+    p = pl.pmul(p, draw(polys.filter(bool)))
+    return p, [r for r, _ in roots]
+
+
+def _points(c, roots, extra):
+    # roots, the Cauchy bound (non-dyadic in general), midpoints of roots
+    # and arbitrary rationals
+    b = pl.cauchy_bound(c)
+    pts = set(roots) | set(extra) | {b, -b, b / 3}
+    pts |= {(r + s) / 2 for r, s in zip(roots, roots[1:])}
+    return sorted(pts)
+
+
+@given(rooted_polys(), st.lists(small_fracs, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_psign_matches_exact_value(cr, extra):
+    c, roots = cr
+    ic = pl.primitive(c)
+    assert all(isinstance(x, int) for x in ic)
+    assert pl.sign(ic[-1]) == pl.sign(c[-1])
+    for x in _points(c, roots, extra):
+        assert pl.psign(ic, x) == pl.sign(pl.peval(c, x))
+
+
+@given(rooted_polys(), st.one_of(st.none(), polys), st.booleans(),
+       st.lists(small_fracs, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_integer_chain_matches_fraction_chain(cr, g, tarski, extra):
+    # default chain (c, c'), a Tarski chain (c, c' g), and a second element
+    # of any degree (g alone), which may outgrow c: then the first remainder
+    # is c itself and no sign may flip
+    c, roots = cr
+    d = None if g is None else \
+        (pl.pmul(pl.pderiv(c), g) if tarski else g)
+    chain = pl.sturm_chain(c, d)
+    oracle = fraction_sturm_chain(c, d)
+    assert chain == [pl.primitive(p) for p in oracle]
+    for x in _points(c, roots, extra):
+        assert pl.variations_at(chain, x) == fraction_variations_at(oracle, x)
+
+
+def test_chain_second_element_of_higher_degree():
+    # deg d > deg c with lc(d) < 0: delta + 1 <= 0, the remainder of c by d
+    # is c, and the third element is -c, not c
+    c = pl.poly([-2, 0, 1])
+    d = pl.poly([1, 0, 3, 0, -1])
+    chain = pl.sturm_chain(c, d)
+    assert chain[2] == pl.primitive(pl.pneg(c))
+    assert chain == [pl.primitive(p) for p in fraction_sturm_chain(c, d)]
+
+
+@given(rooted_polys(), rooted_polys())
+@settings(max_examples=100, deadline=None)
+def test_gcd_and_square_free_match_fraction_route(a, b):
+    (a, _), (b, _) = a, b
+    assert pl.pgcd(a, b) == fraction_gcd(a, b)
+    assert pl.pgcd(a, pl.ZERO) == fraction_gcd(a, pl.ZERO)
+    assert pl.square_free(a) == fraction_square_free(a)
+
+
+@given(rooted_polys())
+@settings(max_examples=60, deadline=None)
+def test_refine_root_matches_fraction_bisection(cr):
+    # odd multiplicities bisect c itself, even ones its square-free part;
+    # both give the bisection of the square-free part over Q
+    c, _ = cr
+    width = F(1, 2 ** 20)
+    for lo, hi in pl.isolate_real_roots(c):
+        assert pl.refine_root(c, lo, hi, width) == \
+            fraction_refine_root(c, lo, hi, width)
 
 
 def test_cauchy_bound_contains_roots():
