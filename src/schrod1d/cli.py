@@ -12,6 +12,7 @@ the same config produces byte-identical files.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,6 +66,14 @@ def _int_field(doc, key, default, label):
     return v
 
 
+def _number_field(v, label):
+    """v, which must be a finite int or float, never a coerced bool or str."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or \
+            (isinstance(v, float) and not math.isfinite(v)):
+        raise UsageError("%s must be a finite number, got %r" % (label, v))
+    return v
+
+
 def _parse_cutoffs(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise UsageError("cutoff document needs a 'kind' field")
@@ -77,7 +86,7 @@ def _parse_cutoffs(doc):
         if kind == "geometric":
             return CutoffSequence.geometric(
                 _int_field(doc, "start", 8, "cutoff start"),
-                float(doc.get("ratio", 1.5)))
+                float(_number_field(doc.get("ratio", 1.5), "cutoff ratio")))
         if kind == "explicit":
             return CutoffSequence.explicit(doc.get("values", ()))
     except (ValueError, TypeError, OverflowError) as exc:
@@ -122,7 +131,8 @@ def _parse_rhs(doc):
             if not values:
                 raise UsageError("rhs vector needs nonempty 'values'")
             return GridVector(start=_int_field(doc, "start", 0, "rhs start"),
-                              values=tuple(float(v) for v in values))
+                              values=tuple(float(_number_field(v, "rhs value"))
+                                           for v in values))
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError("bad rhs document: %s" % exc)
     raise UsageError("unknown rhs kind %r" % doc["kind"])
@@ -190,6 +200,12 @@ def cmd_fsm(args):
     scheme = _parse_scheme(cfg.get("scheme"))
     rhs = _parse_rhs(cfg.get("rhs"))
     count = _int_field(cfg, "count", 12, "count")
+    if count < 1:
+        raise UsageError("count must be at least 1, got %d" % count)
+    try:
+        scheme.sections(count)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError("bad scheme: %s" % exc)
     out = _outdir(args, cfg)
     try:
         report = run_fsm(p, z, scheme, rhs=rhs, count=count)

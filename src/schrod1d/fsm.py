@@ -29,6 +29,7 @@ ERROR_TARGET = 1e-8
 PLATEAU_SLACK = 1e-9
 RESIDUAL_FACTOR = 1e-10
 REFERENCE_CAP = 2 ** 20
+REFERENCE_TOL = 1e-12
 SETTLE_ROWS = 5
 
 
@@ -103,10 +104,16 @@ class SectionScheme:
         return l, r
 
     def sections(self, count):
+        """Up to count sections; ValueError on a cutoff past REFERENCE_CAP."""
+        for seq in (self.right, self.left):
+            if seq is not None and seq.count_limit() is not None:
+                count = min(count, seq.count_limit())
         out = [self.section(n) for n in range(count)]
         for (l0, r0), (l1, r1) in zip(out, out[1:]):
             if not (l1 <= l0 and r1 > r0):
                 raise ValueError("sections must expand monotonically")
+        if out and max(out[-1][1], -out[-1][0]) > REFERENCE_CAP:
+            raise ValueError("a cutoff exceeds the cap %d" % REFERENCE_CAP)
         return out
 
 
@@ -181,7 +188,7 @@ def solve_section(p, z, l, r, rhs):
     if r < l:
         raise ValueError("empty section")
     b = rhs.restricted(l, r)
-    d, _ = _tridiag_data(p, z, l, r)
+    d = _tridiag_data(p, l, r)[0] - float(z)
     ab = np.zeros((3, r - l + 1))
     ab[0, 1:] = 1.0
     ab[1] = d
@@ -225,29 +232,26 @@ class ReferenceInconclusive(RuntimeError):
 @dataclass(frozen=True)
 class ReferenceSolution:
     vector: GridVector
-    operator: str
     window: tuple
     tail_mass: float
     doubling_change: float
-    tol: float
 
 
-def reference_solution(p, z, rhs, operator="full_line", tol=1e-12,
-                       initial=64, cap=REFERENCE_CAP):
+def reference_solution(p, z, rhs, operator="full_line"):
     """Solve (H - z) x = rhs on windows doubled until the answer is trusted.
 
-    Certification needs both: the relative l2 mass of the trailing quarter
-    of the window at each open end below tol, and the relative change under
-    the last doubling below tol. Raises ReferenceInconclusive when the cap
-    is reached first, when sections are singular, or when the rhs sticks out
-    of the window.
+    Half-windows run from 64 to REFERENCE_CAP. Certification needs both: the
+    relative l2 mass of the trailing quarter of the window at each open end
+    below 1e-12, and the relative change under the last doubling below
+    1e-12. Raises ReferenceInconclusive when the cap is reached first, when
+    sections are singular, or when the rhs sticks out of the window.
     """
     if operator not in ("full_line", "half_line"):
         raise ValueError("operator must be full_line or half_line")
-    m = max(int(initial), 8)
+    m = 64
     prev = None
-    last_reason = "window cap %d reached" % cap
-    while m <= cap:
+    last_reason = "window cap %d reached" % REFERENCE_CAP
+    while m <= REFERENCE_CAP:
         l, r = (-m, m) if operator == "full_line" else (0, m)
         if rhs.start < l or rhs.stop - 1 > r:
             last_reason = "right-hand side support exceeds the window"
@@ -262,9 +266,8 @@ def reference_solution(p, z, rhs, operator="full_line", tol=1e-12,
         arr = x.array()
         total = float(np.linalg.norm(arr))
         if total == 0.0:
-            return ReferenceSolution(vector=x, operator=operator,
-                                     window=(l, r), tail_mass=0.0,
-                                     doubling_change=0.0, tol=tol)
+            return ReferenceSolution(vector=x, window=(l, r), tail_mass=0.0,
+                                     doubling_change=0.0)
         quarter = max(1, (r - l + 1) // 4)
         tails = [arr[-quarter:]]
         if operator == "full_line":
@@ -272,12 +275,13 @@ def reference_solution(p, z, rhs, operator="full_line", tol=1e-12,
         tail = max(float(np.linalg.norm(t)) for t in tails) / total
         if prev is not None:
             change = x.diff_norm(prev) / total
-            if tail < tol and change < tol:
-                return ReferenceSolution(vector=x, operator=operator,
-                                         window=(l, r), tail_mass=tail,
-                                         doubling_change=change, tol=tol)
+            if tail < REFERENCE_TOL and change < REFERENCE_TOL:
+                return ReferenceSolution(vector=x, window=(l, r),
+                                         tail_mass=tail,
+                                         doubling_change=change)
             last_reason = ("tail mass %.3e, doubling change %.3e "
-                           "not below %g at window %d" % (tail, change, tol, m))
+                           "not below %g at window %d"
+                           % (tail, change, REFERENCE_TOL, m))
         prev = x
         m *= 2
     raise ReferenceInconclusive(last_reason)
@@ -322,32 +326,26 @@ class FsmReport:
                 "reference_failure": self.reference_failure}
 
 
-def run_fsm(p, z, scheme, rhs=None, count=12, reference="auto"):
+def run_fsm(p, z, scheme, rhs=None, count=12):
     """Run the finite section method and classify the observation.
 
-    reference may be a ReferenceSolution, None (skip error tracking), or
-    "auto" to attempt one internally. Failure witnesses (singular sections,
-    inverse norms beyond 1e8, non-decaying errors) dominate; the applicable
-    verdict additionally needs the error to fall below 1e-8 monotonically
-    (first few rows exempt) with smallest singular values spread by less
-    than a factor 10 over the trailing half.
+    Errors are tracked against reference_solution when it certifies one.
+    Failure witnesses (singular sections, inverse norms beyond 1e8,
+    non-decaying errors) dominate; the applicable verdict additionally needs
+    the error to fall below 1e-8 monotonically (first few rows exempt) with
+    smallest singular values spread by less than a factor 10 over the
+    trailing half.
     """
     if rhs is None:
         rhs = GridVector.delta(0)
-    for seq in (scheme.right, scheme.left):
-        if seq is not None and seq.count_limit() is not None:
-            count = min(count, seq.count_limit())
     sections = scheme.sections(count)
 
     ref = None
     ref_failure = None
-    if reference == "auto":
-        try:
-            ref = reference_solution(p, z, rhs, operator=scheme.operator)
-        except ReferenceInconclusive as exc:
-            ref_failure = str(exc)
-    elif reference is not None:
-        ref = reference
+    try:
+        ref = reference_solution(p, z, rhs, operator=scheme.operator)
+    except ReferenceInconclusive as exc:
+        ref_failure = str(exc)
 
     rows = []
     reasons = []

@@ -17,9 +17,12 @@ arithmetic runs inside a bisection loop. `peval` stays the exact-value
 evaluator.
 
 Root isolation follows the classical Sturm bisection: build the Sturm chain
-of the square-free part, count sign variations at rational points, split
-until each interval holds exactly one root. Exact rational roots hit by a
-bisection midpoint are returned as degenerate [r, r] intervals.
+of the polynomial, count sign variations at rational points, split until
+each interval holds exactly one root. A Sturm chain counts distinct roots
+whether or not the polynomial is square-free, and the roots of gcd(c, c')
+are the multiple roots of c, so the gcd tower c, gcd(c, c'), ... counts
+roots with multiplicity. Exact rational roots hit by a bisection midpoint
+are returned as degenerate [r, r] intervals.
 """
 
 from fractions import Fraction
@@ -88,27 +91,6 @@ def peval(c, x):
 
 def pderiv(c):
     return poly((i * c[i] for i in range(1, len(c))))
-
-
-def pdivmod(a, b):
-    """Euclidean division, exact over Q."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    lb = b[-1]
-    while len(r) >= len(b) and any(x != 0 for x in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        f = r[-1] / lb
-        q[k] = f
-        for i in range(len(b)):
-            r[k + i] -= f * b[i]
-        r.pop()
-    return poly(q), poly(r)
 
 
 def pmonic(c):
@@ -205,39 +187,15 @@ def square_free(c):
     return pmonic(ic)
 
 
-def yun_decomposition(c):
-    """Square-free decomposition: list of (factor_i, multiplicity i), with
-    c = lead * prod factor_i^i and the factors monic, square-free, coprime."""
-    if degree(c) <= 0:
-        return []
-    c = pmonic(c)
-    d = pderiv(c)
-    g = pgcd(c, d)
-    out = []
-    if degree(g) == 0:
-        return [(c, 1)]
-    b, _ = pdivmod(c, g)
-    cpart, _ = pdivmod(d, g)
-    i = 1
-    while degree(b) > 0:
-        dpart = psub(cpart, pderiv(b))
-        f = pgcd(b, dpart)
-        if degree(f) > 0:
-            out.append((f, i))
-        b, _ = pdivmod(b, f)
-        cpart, _ = pdivmod(dpart, f)
-        i += 1
-    return out
-
-
 def real_root_count_with_multiplicity(c):
-    """Number of real roots counted with multiplicity, exact."""
+    """Number of real roots counted with multiplicity, exact: the distinct
+    roots of each level of the gcd tower, all inside c's Cauchy bound."""
+    bound = cauchy_bound(c)
     total = 0
-    for factor, mult in yun_decomposition(c):
-        chain = sturm_chain(factor)
-        bound = cauchy_bound(factor)
-        total += mult * (variations_at(chain, -bound)
-                         - variations_at(chain, bound))
+    while degree(c) >= 1:
+        chain = sturm_chain(c)
+        total += variations_at(chain, -bound) - variations_at(chain, bound)
+        c = pgcd(c, pderiv(c))
     return total
 
 
@@ -251,8 +209,8 @@ def sign(x):
 
 def sturm_chain(c, d=None):
     """Signed remainder sequence of (c, d), each element scaled to a
-    primitive integer polynomial; with d = c' (the default) the Sturm chain
-    of a (preferably square-free) polynomial."""
+    primitive integer polynomial; d = c' (the default) gives the Sturm
+    chain of c."""
     first = primitive(c)
     chain = [first, _ideriv(first) if d is None else primitive(d)]
     while chain[-1]:
@@ -315,16 +273,15 @@ def isolate_real_roots(c):
 
     Returns an ordered list of (lo, hi) Fraction pairs; lo == hi marks an
     exact rational root, otherwise the open interval (lo, hi) contains
-    exactly one root of the square-free part and its endpoints are not roots.
+    exactly one distinct root of c and its endpoints are not roots.
     """
-    f = square_free(c)
-    if degree(f) <= 0:
+    if degree(c) <= 0:
         return []
-    chain = sturm_chain(f)
-    bound = cauchy_bound(f)
+    chain = sturm_chain(c)
+    bound = cauchy_bound(c)
     out = []
 
-    # an interval is (a, b, d, V(a/d), V(b/d), sign of f at b/d)
+    # an interval is (a, b, d, V(a/d), V(b/d), sign of c at b/d)
     def split_at_root(a, b, d, va, vb, sb):
         # the midpoint is an exact root: shrink a symmetric gap around it,
         # with points over den, until the gap holds only that root

@@ -262,11 +262,11 @@ def fibonacci_prefix(length=10000):
     return _finish("fibonacci-prefix", checks, data)
 
 
-def random_integer_potential(seed, stream, max_period=8, low=-5, high=5):
-    """Deterministic corpus member: integer word, period in [1, max_period]."""
+def random_integer_potential(seed, stream):
+    """Deterministic corpus member: integer word over [-5, 5], period 1-8."""
     rng = CounterRng(seed, stream)
-    period = rng.randint(1, max_period)
-    word = [rng.randint(low, high) for _ in range(period)]
+    period = rng.randint(1, 8)
+    word = [rng.randint(-5, 5) for _ in range(period)]
     return periodic(word)
 
 

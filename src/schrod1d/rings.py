@@ -28,6 +28,7 @@ from itertools import product
 import mpmath
 
 MAX_ORDER = 8
+SEARCH_BOUND = 2  # coefficient bound of the isolation search
 _EPS = mpmath.mpf("1e-40")
 
 # generator powers r^1..r^n reduced to x + y*r for the quadratic orders
@@ -144,27 +145,23 @@ class RingValidation:
     witness_modulus: float = field(default=None)
 
 
-def validate_ring(ring, search_radius=2):
+def validate_ring(ring):
     """Check conditions (i)-(iii) for a RingSpec.
 
-    search_radius (>= 2) sets the coefficient bound C = ceil(search_radius):
-    all coefficient vectors with entries in [-C, C] are enumerated, smallest
-    bound first, and any nonzero grid point with modulus strictly below 1
-    invalidates the grid. The witness coefficients are returned so the
-    violation can be re-verified independently.
+    All coefficient vectors with entries in [-SEARCH_BOUND, SEARCH_BOUND]
+    are enumerated, smallest bound first, and any nonzero grid point with
+    modulus strictly below 1 invalidates the grid. The witness coefficients
+    are returned so the violation can be re-verified independently.
     """
     if not isinstance(ring, RingSpec):
         raise TypeError("expected a RingSpec")
-    if search_radius < 2:
-        raise ValueError("search_radius must be at least 2")
     n = ring.order
-    c_bound = math.ceil(search_radius)
 
     assert ring.mul(ring.one(), ring.one()) == ring.one()
     assert ring.mul(ring.minus_one(), ring.minus_one()) == ring.one()
 
     if ring.exact_modulus:
-        for coeffs in _vectors_by_height(n, c_bound):
+        for coeffs in _vectors_by_height(n):
             m2 = ring.modulus_squared(coeffs)
             if 0 < m2 < 1:
                 return _violation(n, coeffs, float(m2))
@@ -172,7 +169,7 @@ def validate_ring(ring, search_radius=2):
 
     with mpmath.workdps(60):
         roots = _unit_roots(n)
-        for coeffs in _vectors_by_height(n, c_bound):
+        for coeffs in _vectors_by_height(n):
             m2 = _modulus_squared_numeric(coeffs, roots)
             if m2 < _EPS:
                 continue  # a vanishing combination, not a geometric violation
@@ -181,9 +178,9 @@ def validate_ring(ring, search_radius=2):
     return _valid(n)
 
 
-def _vectors_by_height(n, c_bound):
+def _vectors_by_height(n):
     """Nonzero coefficient vectors ordered by max-abs entry (small first)."""
-    for height in range(1, c_bound + 1):
+    for height in range(1, SEARCH_BOUND + 1):
         for coeffs in product(range(-height, height + 1), repeat=n):
             if max(abs(c) for c in coeffs) == height:
                 yield coeffs

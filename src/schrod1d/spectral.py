@@ -234,7 +234,7 @@ def _sign_of_poly_at_root(g, target, lo, hi):
     Tarski query (Sylvester's theorem): V(lo) - V(hi) over the signed
     remainder sequence of (target, target' g) sums the sign of g over the
     roots of target in (lo, hi), for lo and hi not roots. The caller's
-    gcd(m12, disc^2 - 4) test keeps g nonzero at the root.
+    gcd(m12, m22^2 - 1) test keeps g nonzero at the root.
     """
     chain = pl.sturm_chain(target, pl.pmul(pl.pderiv(target), g))
     s = pl.variations_at(chain, lo) - pl.variations_at(chain, hi)
@@ -246,21 +246,20 @@ def dirichlet_eigenvalues(p, cross_validate=True):
     """Point spectrum of the Dirichlet half-line compression, exact.
 
     Roots of m12 are isolated over Q; each is kept iff |m22| < 1 there,
-    decided by a Tarski query on m22^2 - 1 (the boundary case |m22| = 1
-    coincides with roots of disc^2 - 4 and is rejected). Optionally
-    cross-validates every eigenvalue against LAPACK truncation spectra at
-    sizes >= 60 * period.
+    decided by a Tarski query on m22^2 - 1. Where m12 = 0, det M = 1 gives
+    m11 m22 = 1 and disc^2 - 4 = (m22 - 1/m22)^2, so a root of gcd(m12,
+    m22^2 - 1) is a band edge and is rejected. Optionally cross-validates
+    every eigenvalue against LAPACK truncation spectra at sizes >= 60 * period.
     """
     if not isinstance(p, PeriodicPotential):
         raise TypeError("dirichlet_eigenvalues needs a periodic potential")
     _, m12, _, m22 = symbolic_monodromy(p)
     bs = bands(p)
-    d = bs.disc.coeffs
     eigs = []
     rejected = []
     if pl.degree(m12) >= 1:
-        boundary = pl.pgcd(m12, pl.psub(pl.pmul(d, d), pl.constant(4)))
         m22sq1 = pl.psub(pl.pmul(m22, m22), pl.constant(1))
+        boundary = pl.pgcd(m12, m22sq1)
         for lo, hi in pl.isolate_real_roots(m12):
             if lo == hi:
                 val = pl.peval(m22, lo)
@@ -304,22 +303,20 @@ def dirichlet_eigenvalues(p, cross_validate=True):
                              band_set=bs, warnings=tuple(warnings))
 
 
-def _tridiag_data(p, z, l, r):
+def _tridiag_data(p, l, r):
     if r < l:
         raise ValueError("empty section")
     d = np.array([float(p.value(n)) for n in range(l, r + 1)], dtype=float)
-    if z:
-        d = d - float(z)
     e = np.ones(r - l, dtype=float)
     return d, e
 
 
-def truncation_spectrum(p, size, start=0, z=0):
-    """Eigenvalues of the size x size section of H - z on [start, start+size),
-    via LAPACK bisection (stebz); ascending numpy array."""
+def truncation_spectrum(p, size):
+    """Eigenvalues of the size x size section of H on [0, size), via LAPACK
+    bisection (stebz); ascending numpy array."""
     if size < 1:
         raise ValueError("section size must be positive")
-    d, e = _tridiag_data(p, z, start, start + size - 1)
+    d, e = _tridiag_data(p, 0, size - 1)
     if size == 1:
         return d.copy()
     return np.sort(eigvalsh_tridiagonal(d, e, lapack_driver='stebz'))
@@ -349,7 +346,7 @@ def smallest_singular_value(p, size, z, start=0):
     """
     if size < 1:
         raise ValueError("section size must be positive")
-    d, e = _tridiag_data(p, 0, start, start + size - 1)
+    d, e = _tridiag_data(p, start, start + size - 1)
     zf = float(z)
     if size == 1:
         return abs(d[0] - zf)
@@ -383,7 +380,7 @@ class PollutionReport:
     per_gap_counts: dict  # (location, index) -> persistent cluster count
 
 
-def pollution_report(p, sizes, start=0):
+def pollution_report(p, sizes):
     """Track truncation eigenvalues that fall inside spectral gaps.
 
     For each section size, eigenvalues at distance > 1e-8 from the band
@@ -399,7 +396,7 @@ def pollution_report(p, sizes, start=0):
     in_gap = {}
     samples = []  # (value, size)
     for size in sizes:
-        spec = truncation_spectrum(p, size, start=start)
+        spec = truncation_spectrum(p, size)
         hits = [float(v) for v in spec
                 if bs.distance_to_spectrum(float(v)) > IN_GAP_MARGIN]
         in_gap[size] = len(hits)

@@ -88,11 +88,11 @@ def transfer_product(p, z, l, r):
     return m
 
 
-def monodromy(p, z, start=0):
-    """Transfer over one full period starting at index start."""
+def monodromy(p, z):
+    """Transfer over one full period starting at index 0."""
     if not isinstance(p, PeriodicPotential):
         raise TypeError("monodromy needs a periodic potential")
-    return transfer_product(p, z, start, start + p.period - 1)
+    return transfer_product(p, z, 0, p.period - 1)
 
 
 def _log2_abs(x):

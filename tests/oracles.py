@@ -4,7 +4,9 @@ Deliberately different algorithms from the package: determinants by
 fraction-free Bareiss elimination on dense matrices, the golden-mean word
 by explicit block concatenation, closed forms written out directly, and
 the Sturm route over Q (Euclidean remainders with Fraction coefficients,
-signs read from exact values) that the package's integer kernels replace.
+signs read from exact values) that the package's integer kernels replace,
+and Yun's square-free decomposition (Yun 1976) in place of the package's
+gcd tower for counting roots with multiplicity.
 """
 
 from fractions import Fraction
@@ -98,12 +100,33 @@ def fullline_constant4_x0():
     return 1 / sqrt(12)
 
 
+def pdivmod(a, b):
+    """Euclidean division, exact over Q."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    r = list(a)
+    lb = b[-1]
+    while len(r) >= len(b) and any(x != 0 for x in r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            break
+        k = len(r) - len(b)
+        f = r[-1] / lb
+        q[k] = f
+        for i in range(len(b)):
+            r[k + i] -= f * b[i]
+        r.pop()
+    return pl.poly(q), pl.poly(r)
+
+
 def fraction_sturm_chain(c, d=None):
     """Signed remainder sequence of (c, d) by Euclidean division over Q,
     d = c' by default; every element keeps its Fraction coefficients."""
     chain = [c, pl.pderiv(c) if d is None else d]
     while chain[-1]:
-        rem = pl.pdivmod(chain[-2], chain[-1])[1]
+        rem = pdivmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(pl.pneg(rem))
@@ -120,7 +143,7 @@ def fraction_variations_at(chain, x):
 def fraction_gcd(a, b):
     """Monic gcd over Q by the Euclidean algorithm on Fractions."""
     while b:
-        a, b = b, pl.pdivmod(a, b)[1]
+        a, b = b, pdivmod(a, b)[1]
     return pl.pmonic(a)
 
 
@@ -128,7 +151,7 @@ def fraction_square_free(c):
     """c / gcd(c, c'), monic, by division over Q."""
     if pl.degree(c) <= 0:
         return pl.pmonic(c)
-    q, r = pl.pdivmod(c, fraction_gcd(c, pl.pderiv(c)))
+    q, r = pdivmod(c, fraction_gcd(c, pl.pderiv(c)))
     assert not r
     return pl.pmonic(q)
 
@@ -150,3 +173,40 @@ def fraction_refine_root(c, lo, hi, width):
         else:
             hi = mid
     return lo, hi
+
+
+def yun_decomposition(c):
+    """Square-free decomposition: list of (factor_i, multiplicity i), with
+    c = lead * prod factor_i^i and the factors monic, square-free, coprime."""
+    if pl.degree(c) <= 0:
+        return []
+    c = pl.pmonic(c)
+    d = pl.pderiv(c)
+    g = fraction_gcd(c, d)
+    if pl.degree(g) == 0:
+        return [(c, 1)]
+    out = []
+    b, _ = pdivmod(c, g)
+    cpart, _ = pdivmod(d, g)
+    i = 1
+    while pl.degree(b) > 0:
+        dpart = pl.psub(cpart, pl.pderiv(b))
+        f = fraction_gcd(b, dpart)
+        if pl.degree(f) > 0:
+            out.append((f, i))
+        b, _ = pdivmod(b, f)
+        cpart, _ = pdivmod(dpart, f)
+        i += 1
+    return out
+
+
+def yun_root_count(c):
+    """Real roots of c counted with multiplicity: Yun's factors, each
+    counted by its Fraction Sturm chain over its Cauchy bound."""
+    total = 0
+    for factor, mult in yun_decomposition(c):
+        chain = fraction_sturm_chain(factor)
+        bound = pl.cauchy_bound(factor)
+        total += mult * (fraction_variations_at(chain, -bound)
+                         - fraction_variations_at(chain, bound))
+    return total

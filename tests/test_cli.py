@@ -251,6 +251,23 @@ MALFORMED = [
                  id="rhs-start-float"),
     pytest.param("fsm", _fsm_doc(count=3.7), id="count-float"),
     pytest.param("fsm", _fsm_doc(count=True), id="count-bool"),
+    pytest.param("fsm", _fsm_doc(count=-5), id="count-negative"),
+    pytest.param("fsm", _cutoff_doc(kind="geometric", ratio=float("nan")),
+                 id="geometric-ratio-nan"),
+    pytest.param("fsm", _cutoff_doc(kind="geometric", ratio="2"),
+                 id="geometric-ratio-string"),
+    pytest.param("fsm", _fsm_doc(rhs={"kind": "vector",
+                                      "values": [1.0, float("nan")]}),
+                 id="rhs-value-nan"),
+    pytest.param("fsm", _fsm_doc(rhs={"kind": "vector", "values": [True]}),
+                 id="rhs-value-bool"),
+    pytest.param("fsm", _fsm_doc(rhs={"kind": "vector", "values": ["2"]}),
+                 id="rhs-value-string"),
+    # sections of about 8e12 sites and 1e12 sites: refused before any is built
+    pytest.param("fsm", _cutoff_doc(kind="geometric", ratio=1e6),
+                 id="geometric-ratio-1e6"),
+    pytest.param("fsm", _cutoff_doc(start=10 ** 12),
+                 id="arithmetic-start-1e12"),
 ]
 
 
@@ -365,6 +382,23 @@ ARTIFACT_DIGESTS = {
                           "8e0fcac1f95ede25effbed1dd4ea3096",
         "bands.csv": "af6da24ae7386bff562bfbd1c18bc127"
                      "f854308811a2399dd5e63b5245871695",
+    },
+    # six closed gaps, and six roots of m12 that the boundary test rejects
+    (1,) * 7: {
+        "bands.json": "c5e81ff1f7f3eef3ed66f6aff29c25e7"
+                      "3183fe9dda92b604304c7acf865e1949",
+        "dirichlet.json": "fcd698748ce4c7459fd8a8b428f776dc"
+                          "f81f89f789606e45c5cd21f5291ad59b",
+        "bands.csv": "6e3a79ae880ea7220c59cca5b8e0ecd6"
+                     "03deba6c78167a027740331b0fb79255",
+    },
+    (2, -1) * 4: {
+        "bands.json": "cb4a7ba1fc0a701687fe052397247709"
+                      "c4cc70191acf4484b6280e261be593d0",
+        "dirichlet.json": "05742422a1247ffa8804efd7cbd498b6"
+                          "eee694b618cec6a8ee33240bdcaf86df",
+        "bands.csv": "4a508a4869a76ef97e7da4e24d0b5cd7"
+                     "19fee208406724f155c47522054d3e7f",
     },
 }
 INTEGER_AVOIDANCE_50_DIGEST = ("81097382d07f368434b692cd09f12062"

@@ -126,7 +126,7 @@ def test_reference_inconclusive_in_band():
     p = pot.periodic([0])
     with pytest.raises(fsm.ReferenceInconclusive):
         fsm.reference_solution(p, 0, fsm.GridVector.delta(0),
-                               operator="full_line", cap=2 ** 12)
+                               operator="full_line")
 
 
 def test_run_fsm_applicable():

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import schrod1d.polynomials as pl
 from oracles import (fraction_gcd, fraction_refine_root, fraction_square_free,
-                     fraction_sturm_chain, fraction_variations_at)
+                     fraction_sturm_chain, fraction_variations_at, pdivmod,
+                     yun_decomposition, yun_root_count)
 
 
 def frac(n, d=1):
@@ -22,7 +23,7 @@ def test_basic_arithmetic():
     g = pl.poly([-1, 1])            # x - 1
     assert pl.pmul(g, g) == pl.poly([1, -2, 1])
     assert pl.padd(f, pl.pneg(f)) == pl.ZERO
-    q, r = pl.pdivmod(f, g)
+    q, r = pdivmod(f, g)
     assert pl.padd(pl.pmul(q, g), r) == f
     assert pl.degree(r) < pl.degree(g)
 
@@ -55,7 +56,7 @@ def test_yun_decomposition():
     for root, mult in [(1, 3), (-2, 2), (3, 1)]:
         for _ in range(mult):
             f = pl.pmul(f, pl.poly([-root, 1]))
-    parts = pl.yun_decomposition(f)
+    parts = yun_decomposition(f)
     by_mult = {m: g for g, m in parts if pl.degree(g) > 0}
     assert pl.peval(by_mult[3], F(1)) == 0
     assert pl.peval(by_mult[2], F(-2)) == 0
@@ -141,6 +142,21 @@ def test_isolation_isolates_all_roots(int_roots):
     # ordered, pairwise disjoint as open intervals
     for (_, h1), (l2, _) in zip(intervals, intervals[1:]):
         assert h1 <= l2
+    _assert_isolating(f, intervals)
+
+
+def _assert_isolating(c, intervals):
+    # each interval is an exact root or holds one distinct root of c, with
+    # ends that are not roots; counted on the square-free part over Q
+    sf = fraction_square_free(c)
+    chain = fraction_sturm_chain(sf)
+    for lo, hi in intervals:
+        if lo == hi:
+            assert pl.peval(c, lo) == 0
+        else:
+            assert pl.peval(c, lo) != 0 and pl.peval(c, hi) != 0
+            assert fraction_variations_at(chain, lo) \
+                - fraction_variations_at(chain, hi) == 1
 
 
 # rational polynomials with repeated and rational roots: a nonzero scalar
@@ -168,6 +184,40 @@ def _points(c, roots, extra):
     pts = set(roots) | set(extra) | {b, -b, b / 3}
     pts |= {(r + s) / 2 for r, s in zip(roots, roots[1:])}
     return sorted(pts)
+
+
+@given(rooted_polys())
+@settings(max_examples=100, deadline=None)
+def test_isolation_of_non_square_free_polys(cr):
+    c, _ = cr
+    intervals = pl.isolate_real_roots(c)
+    _assert_isolating(c, intervals)
+    sf = fraction_square_free(c)
+    chain = fraction_sturm_chain(sf)
+    b = pl.cauchy_bound(sf)
+    assert len(intervals) == fraction_variations_at(chain, -b) \
+        - fraction_variations_at(chain, b)
+
+
+@st.composite
+def factored_polys(draw):
+    # rational linear factors of multiplicity 1-3 times random quadratics,
+    # whose roots may be real, repeated or complex
+    p = pl.constant(draw(nonzero_fracs))
+    for r, m in draw(st.lists(st.tuples(small_fracs, st.integers(1, 3)),
+                              max_size=4)):
+        for _ in range(m):
+            p = pl.pmul(p, pl.poly([-r, 1]))
+    for _ in range(draw(st.integers(0, 2))):
+        q = draw(st.tuples(small_fracs, small_fracs, nonzero_fracs))
+        p = pl.pmul(p, pl.poly(q))
+    return p
+
+
+@given(factored_polys())
+@settings(max_examples=200, deadline=None)
+def test_gcd_tower_counts_like_yun(c):
+    assert pl.real_root_count_with_multiplicity(c) == yun_root_count(c)
 
 
 @given(rooted_polys(), st.lists(small_fracs, max_size=4))

@@ -79,8 +79,6 @@ def test_rejected_parameters():
         RingSpec(9)
     with pytest.raises(ValueError):
         RingSpec(True)
-    with pytest.raises(ValueError):
-        validate_ring(RingSpec(4), search_radius=1)
     with pytest.raises(TypeError):
         validate_ring(4)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schrod1d.polynomials as pl
 import schrod1d.potential as pot
 import schrod1d.spectral as sp
 import schrod1d.transfer as tr
@@ -152,6 +153,24 @@ def test_dirichlet_band_edge_root_rejected():
     assert ds.eigenvalues == ()
     assert ds.rejected == (0.0,)
     assert ds.band_set.bands == ((-1.0, 0.0), (3.0, 4.0))
+
+
+exact_entries = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@given(st.lists(exact_entries, min_size=2, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_boundary_roots_of_m12_from_m22(word):
+    # det M = 1 gives m11 m22 = 1 at each root of m12, where disc^2 - 4 is
+    # then (m22 - 1/m22)^2: both gcds with m12 have the same roots
+    _, m12, _, m22 = tr.symbolic_monodromy(pot.periodic(word))
+    d = tr.discriminant(pot.periodic(word)).coeffs
+    one, four = pl.constant(1), pl.constant(4)
+    via_m22 = pl.pgcd(m12, pl.psub(pl.pmul(m22, m22), one))
+    via_disc = pl.pgcd(m12, pl.psub(pl.pmul(d, d), four))
+    assert pl.square_free(via_m22) == pl.square_free(via_disc)
 
 
 def test_dirichlet_needs_periodic():
