@@ -21,7 +21,8 @@ from .fsm import CutoffSequence, GridVector, SectionScheme, run_fsm
 from .potential import PeriodicPotential, potential_from_json
 from .reproduce import REPRODUCTIONS, run_reproduction
 from .scalars import GAUSSIAN, INTEGER, RATIONAL, decode_scalar_any, regime_of
-from .spectral import dirichlet_eigenvalues
+from .spectral import (CrossValidationError, SpectralStructureError,
+                       dirichlet_eigenvalues)
 from .transfer import monodromy_dirichlet_test
 
 EXIT_PASS = 0
@@ -286,9 +287,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CrossValidationError, SpectralStructureError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_FAILED
 
 
 if __name__ == "__main__":

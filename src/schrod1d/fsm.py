@@ -117,16 +117,21 @@ class SectionScheme:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridVector:
     """Vector supported on the integer window [start, start + len(values))."""
 
     start: int
-    values: tuple
+    values: np.ndarray  # float; any sequence is copied into one
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_array(cls, start, arr):
-        return cls(start=int(start), values=tuple(float(v) for v in arr))
+        return cls(start=int(start), values=arr)
 
     @classmethod
     def delta(cls, n=0):
@@ -138,17 +143,21 @@ class GridVector:
 
     def value(self, n):
         if self.start <= n < self.stop:
-            return self.values[n - self.start]
+            return float(self.values[n - self.start])
         return 0.0
 
     def array(self):
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
     def norm(self):
-        return float(np.linalg.norm(self.array()))
+        return float(np.linalg.norm(self.values))
 
     def restricted(self, l, r):
-        return np.array([self.value(n) for n in range(l, r + 1)], dtype=float)
+        out = np.zeros(r - l + 1)
+        lo, hi = max(l, self.start), min(r + 1, self.stop)
+        if lo < hi:
+            out[lo - l:hi - l] = self.values[lo - self.start:hi - self.start]
+        return out
 
     def diff_norm(self, other):
         """l2 norm of the difference, on the union window."""

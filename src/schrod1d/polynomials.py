@@ -259,6 +259,20 @@ def variations_at(chain, x):
     return _sturm_at(chain, x.numerator, x.denominator)[0]
 
 
+def sign_at_root(g, target, lo, hi):
+    """Sign of g at the unique root of `target` inside (lo, hi).
+
+    Tarski query (Sylvester's theorem): V(lo) - V(hi) over the signed
+    remainder sequence of (target, target' g) sums the sign of g over the
+    roots of target in (lo, hi), for lo and hi not roots. g must not vanish
+    at the root.
+    """
+    chain = sturm_chain(target, pmul(pderiv(target), g))
+    s = variations_at(chain, lo) - variations_at(chain, hi)
+    assert s in (1, -1)
+    return s
+
+
 def cauchy_bound(c):
     """Rational B with every real root strictly inside (-B, B)."""
     if degree(c) < 1:

@@ -14,28 +14,45 @@ coefficient vectors. Orders 1 and 2 give Z, order 4 gives Z + iZ, orders 3
 and 6 give the triangular (honeycomb) grid; order 5 and every order above 6
 fail (iii) because the grid accumulates near 0.
 
-Squared moduli are exact integer quadratic forms for orders 1, 2, 3, 4, 6.
-For orders 5, 7, 8 they are evaluated with mpmath at 60 significant digits;
-a nonzero algebraic number of degree <= 6 built from coefficients this small
-cannot sit within 1e-40 of 0 or 1, so the margin-based classification is
-sound on the bounded search space.
+Squared moduli are decided exactly for every order. With t = 2 cos(2 pi / n)
+and a_m = sum_{j - k = m mod n} c_j c_k, 2 |sum_k c_k r^k|^2 = sum_{m < n}
+a_m C_m(t), where C_0 = 2, C_1 = t, C_{m+1} = t C_m - C_{m-1} are integer
+polynomials (C_m(t) = r^m + r^-m). Reduced modulo the monic minimal
+polynomial Psi_n of t (Watkins & Zeitlin 1993), that sum is an integer
+polynomial P of degree below deg Psi_n, so x = 0 exactly when P = 0, and
+|x| < 1 exactly when P - 2 is negative at t: read off a constant, or a Tarski
+query on Psi_n over the isolating interval of its largest root, which is t.
 """
 
 import math
 from dataclasses import dataclass, field
 from itertools import product
 
-import mpmath
+from . import polynomials as pl
 
 MAX_ORDER = 8
 SEARCH_BOUND = 2  # coefficient bound of the isolation search
-_EPS = mpmath.mpf("1e-40")
 
-# generator powers r^1..r^n reduced to x + y*r for the quadratic orders
-_QUADRATIC_TABLES = {
-    3: [(0, 1), (-1, -1), (1, 0)],
-    6: [(0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0)],
-}
+# Psi_n, the monic minimal polynomial of t = 2 cos(2 pi / n), ascending
+_MINIMAL = {1: (-2, 1), 2: (2, 1), 3: (1, 1), 4: (0, 1), 5: (-1, 1, 1),
+            6: (-1, 1), 7: (-1, -2, 1, 1), 8: (-2, 0, 1)}
+
+
+def _chebyshev_table(psi):
+    """C_0 .. C_{MAX_ORDER - 1} as integer coefficient lists modulo psi."""
+    def times_t(c):
+        return [x - c[-1] * y for x, y in zip([0] + c[:-1], psi)]
+    one = [1] + [0] * (len(psi) - 2)
+    table = [[2 * x for x in one], times_t(one)]
+    while len(table) < MAX_ORDER:
+        table.append([x - y for x, y in zip(times_t(table[-1]), table[-2])])
+    return table
+
+
+_CHEBYSHEV = {n: _chebyshev_table(psi) for n, psi in _MINIMAL.items()}
+# t is the largest root of Psi_n: its isolating interval
+_ROOT = {n: pl.isolate_real_roots(pl.poly(psi))[-1]
+         for n, psi in _MINIMAL.items()}
 
 
 @dataclass(frozen=True)
@@ -90,50 +107,38 @@ class RingSpec:
                 out[(i + j + 1) % n] += ai * bj
         return tuple(out)
 
-    @property
-    def exact_modulus(self):
-        return self.order in (1, 2, 3, 4, 6)
+    def _twice_modulus_squared(self, coeffs):
+        """P with P(t) = 2 |sum_k c_k r^k|^2, reduced modulo Psi_n."""
+        n = self.order
+        a = [0] * n
+        for j, cj in enumerate(coeffs):
+            for k, ck in enumerate(coeffs):
+                a[(j - k) % n] += cj * ck
+        table = _CHEBYSHEV[n]
+        return [sum(am * cm[i] for am, cm in zip(a, table))
+                for i in range(len(_MINIMAL[n]) - 1)]
 
     def modulus_squared(self, coeffs):
         """|sum_k c_k r^k|^2; exact int for orders 1, 2, 3, 4, 6, else a
-        60-digit mpmath value."""
-        n = self.order
-        if n == 1:
-            return coeffs[0] * coeffs[0]
-        if n == 2:
-            s = coeffs[1] - coeffs[0]
-            return s * s
-        if n == 4:
-            re = coeffs[3] - coeffs[1]
-            im = coeffs[0] - coeffs[2]
-            return re * re + im * im
-        if n in (3, 6):
-            a, b = self._reduce_quadratic(coeffs)
-            if n == 3:
-                return a * a - a * b + b * b
-            return a * a + a * b + b * b
-        with mpmath.workdps(60):
-            roots = _unit_roots(n)
-            return _modulus_squared_numeric(coeffs, roots)
+        float from the exact reduced polynomial."""
+        twice = self._twice_modulus_squared(coeffs)
+        if len(twice) == 1:
+            return twice[0] // 2
+        t = 2 * math.cos(2 * math.pi / self.order)
+        return sum(c * t ** i for i, c in enumerate(twice)) / 2
 
-    def _reduce_quadratic(self, coeffs):
-        a = b = 0
-        for c, (x, y) in zip(coeffs, _QUADRATIC_TABLES[self.order]):
-            a += c * x
-            b += c * y
-        return a, b
-
-
-def _unit_roots(n):
-    return [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(1, n + 1)]
-
-
-def _modulus_squared_numeric(coeffs, roots):
-    s = mpmath.mpc(0)
-    for c, r in zip(coeffs, roots):
-        if c:
-            s += c * r
-    return s.real * s.real + s.imag * s.imag
+    def modulus_class(self, coeffs):
+        """Exact class of |sum_k c_k r^k|: "zero", "below_one" or
+        "at_least_one"."""
+        twice = self._twice_modulus_squared(coeffs)
+        if not any(twice):
+            return "zero"
+        twice[0] -= 2
+        s = twice[0]
+        if any(twice[1:]):
+            s = pl.sign_at_root(pl.poly(twice), pl.poly(_MINIMAL[self.order]),
+                                *_ROOT[self.order])
+        return "below_one" if s < 0 else "at_least_one"
 
 
 @dataclass(frozen=True)
@@ -160,22 +165,18 @@ def validate_ring(ring):
     assert ring.mul(ring.one(), ring.one()) == ring.one()
     assert ring.mul(ring.minus_one(), ring.minus_one()) == ring.one()
 
-    if ring.exact_modulus:
-        for coeffs in _vectors_by_height(n):
-            m2 = ring.modulus_squared(coeffs)
-            if 0 < m2 < 1:
-                return _violation(n, coeffs, float(m2))
-        return _valid(n)
-
-    with mpmath.workdps(60):
-        roots = _unit_roots(n)
-        for coeffs in _vectors_by_height(n):
-            m2 = _modulus_squared_numeric(coeffs, roots)
-            if m2 < _EPS:
-                continue  # a vanishing combination, not a geometric violation
-            if m2 < 1 - _EPS:
-                return _violation(n, coeffs, float(m2))
-    return _valid(n)
+    for coeffs in _vectors_by_height(n):
+        if ring.modulus_class(coeffs) == "below_one":
+            return RingValidation(
+                valid=False, order=n,
+                reason="zero is not isolated: nonzero grid point with "
+                       "modulus below 1",
+                witness=coeffs,
+                witness_modulus=math.sqrt(ring.modulus_squared(coeffs)))
+    return RingValidation(
+        valid=True, order=n,
+        reason="grid contains -1, 0, 1, is closed under + and *, and 0 is "
+               "isolated")
 
 
 def _vectors_by_height(n):
@@ -184,17 +185,3 @@ def _vectors_by_height(n):
         for coeffs in product(range(-height, height + 1), repeat=n):
             if max(abs(c) for c in coeffs) == height:
                 yield coeffs
-
-
-def _violation(n, coeffs, m2):
-    return RingValidation(
-        valid=False, order=n,
-        reason="zero is not isolated: nonzero grid point with modulus below 1",
-        witness=coeffs, witness_modulus=math.sqrt(m2))
-
-
-def _valid(n):
-    return RingValidation(
-        valid=True, order=n,
-        reason="grid contains -1, 0, 1, is closed under + and *, and 0 is "
-               "isolated")

@@ -228,20 +228,6 @@ class CrossValidationError(AssertionError):
     """Exact Dirichlet eigenvalue not seen by large truncations."""
 
 
-def _sign_of_poly_at_root(g, target, lo, hi):
-    """Sign of g at the unique root of `target` inside (lo, hi).
-
-    Tarski query (Sylvester's theorem): V(lo) - V(hi) over the signed
-    remainder sequence of (target, target' g) sums the sign of g over the
-    roots of target in (lo, hi), for lo and hi not roots. The caller's
-    gcd(m12, m22^2 - 1) test keeps g nonzero at the root.
-    """
-    chain = pl.sturm_chain(target, pl.pmul(pl.pderiv(target), g))
-    s = pl.variations_at(chain, lo) - pl.variations_at(chain, hi)
-    assert s in (1, -1)
-    return s
-
-
 def dirichlet_eigenvalues(p, cross_validate=True):
     """Point spectrum of the Dirichlet half-line compression, exact.
 
@@ -269,8 +255,8 @@ def dirichlet_eigenvalues(p, cross_validate=True):
                 keep = False  # |m22| = 1 exactly: band edge, no eigenvalue
                 side = None
             else:
-                keep = _sign_of_poly_at_root(m22sq1, m12, lo, hi) < 0
-                side = _sign_of_poly_at_root(m22, m12, lo, hi)
+                keep = pl.sign_at_root(m22sq1, m12, lo, hi) < 0
+                side = pl.sign_at_root(m22, m12, lo, hi)
             lo, hi = pl.refine_root(m12, lo, hi, EDGE_WIDTH)
             mid = (lo + hi) / 2
             approx = float(mid)

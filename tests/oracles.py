@@ -5,12 +5,16 @@ fraction-free Bareiss elimination on dense matrices, the golden-mean word
 by explicit block concatenation, closed forms written out directly, and
 the Sturm route over Q (Euclidean remainders with Fraction coefficients,
 signs read from exact values) that the package's integer kernels replace,
-and Yun's square-free decomposition (Yun 1976) in place of the package's
-gcd tower for counting roots with multiplicity.
+Yun's square-free decomposition (Yun 1976) in place of the package's
+gcd tower for counting roots with multiplicity, and unit-root grid moduli
+summed numerically at 60 digits in place of the exact value-ring route.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import cos, lcm, pi, sqrt
+
+import mpmath
 
 import schrod1d.polynomials as pl
 
@@ -210,3 +214,34 @@ def yun_root_count(c):
         total += mult * (fraction_variations_at(chain, -bound)
                          - fraction_variations_at(chain, bound))
     return total
+
+
+RING_DPS = 60
+RING_MARGIN = mpmath.mpf("1e-40")
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(n):
+    with mpmath.workdps(RING_DPS):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                     for k in range(1, n + 1))
+
+
+def ring_modulus_squared(n, coeffs):
+    """|sum_k c_k r^k|^2 with r = exp(2 pi i / n), summed at 60 digits."""
+    with mpmath.workdps(RING_DPS):
+        s = mpmath.mpc(0)
+        for c, r in zip(coeffs, _unit_roots(n)):
+            if c:
+                s += c * r
+        return s.real * s.real + s.imag * s.imag
+
+
+def ring_modulus_class(n, coeffs):
+    """Class of |sum_k c_k r^k| ("zero", "below_one" or "at_least_one"),
+    read with a 1e-40 margin around 0 and 1."""
+    m2 = ring_modulus_squared(n, coeffs)
+    with mpmath.workdps(RING_DPS):
+        if m2 < RING_MARGIN:
+            return "zero"
+        return "below_one" if m2 < 1 - RING_MARGIN else "at_least_one"

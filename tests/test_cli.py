@@ -403,6 +403,8 @@ ARTIFACT_DIGESTS = {
 }
 INTEGER_AVOIDANCE_50_DIGEST = ("81097382d07f368434b692cd09f12062"
                                "1bda87a63dd58cbea6961c911ad19734")
+FIBONACCI_PREFIX_DIGEST = ("94ee446f3a52f0be9be27b84cea9e070"
+                           "87116b4c104ec1a483ab8ccc046c706a")
 
 
 def _sha256(path):
@@ -423,3 +425,23 @@ def test_integer_avoidance_artifact_digest(tmp_path):
                      "--out", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "integer-avoidance.json") == \
         INTEGER_AVOIDANCE_50_DIGEST
+
+
+def test_fibonacci_prefix_artifact_digest(tmp_path):
+    assert cli.main(["reproduce", "fibonacci-prefix",
+                     "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "fibonacci-prefix.json") == \
+        FIBONACCI_PREFIX_DIGEST
+
+
+@pytest.mark.parametrize("error", [spectral.CrossValidationError,
+                                   spectral.SpectralStructureError])
+def test_failed_internal_check_exits_1(tmp_path, capsys, monkeypatch, error):
+    def failing(p):
+        raise error("check failed on purpose")
+    monkeypatch.setattr(cli, "dirichlet_eigenvalues", failing)
+    assert cli.main(["bands", "--config", bands_cfg(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: check failed on purpose"]

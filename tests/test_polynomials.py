@@ -125,6 +125,12 @@ def test_tarski_query_counts_signs(roots, g, a, b):
     chain = pl.sturm_chain(p, pl.pmul(pl.pderiv(p), g))
     expected = sum(pl.sign(pl.peval(g, r)) for r in roots if a < r <= b)
     assert pl.variations_at(chain, a) - pl.variations_at(chain, b) == expected
+    # sign_at_root: the query over an interval isolating one root r
+    for r in roots:
+        if pl.peval(g, r) == 0:
+            continue
+        h = min([abs(r - s) for s in roots if s != r] + [F(1)]) / 2
+        assert pl.sign_at_root(g, p, r - h, r + h) == pl.sign(pl.peval(g, r))
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1,

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
+import schrod1d
+from oracles import ring_modulus_class, ring_modulus_squared
 from schrod1d.rings import RingSpec, validate_ring
 
 
@@ -19,15 +25,46 @@ def test_valid_orders(n):
 
 @pytest.mark.parametrize("n", INVALID_ORDERS)
 def test_invalid_orders_have_checkable_witness(n):
-    ring = RingSpec(n)
-    v = validate_ring(ring)
+    v = validate_ring(RingSpec(n))
     assert not v.valid
     assert v.witness is not None
-    # re-verify the witness independently of the search
-    m2 = ring.modulus_squared(v.witness)
-    assert 0 < float(m2) < 1
-    assert math.isclose(v.witness_modulus, math.sqrt(float(m2)),
-                        rel_tol=1e-12)
+    # re-verify the witness with the 60-digit oracle, not the exact route
+    assert ring_modulus_class(n, v.witness) == "below_one"
+    m2 = float(ring_modulus_squared(n, v.witness))
+    assert math.isclose(v.witness_modulus, math.sqrt(m2), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n,height", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2),
+                                      (6, 2), (7, 1), (8, 1)])
+def test_exact_classes_match_oracle(n, height):
+    ring = RingSpec(n)
+    for coeffs in product(range(-height, height + 1), repeat=n):
+        if not any(coeffs):
+            continue
+        assert ring.modulus_class(coeffs) == ring_modulus_class(n, coeffs), \
+            coeffs
+        if n in VALID_ORDERS:
+            m2 = ring.modulus_squared(coeffs)
+            assert type(m2) is int, coeffs
+            assert m2 == round(float(ring_modulus_squared(n, coeffs))), coeffs
+
+
+def test_rings_run_without_mpmath():
+    # the ring decisions and the reproduction that reports them need no
+    # mpmath: block its import in a fresh interpreter
+    code = ("import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from schrod1d.reproduce import run_reproduction\n"
+            "from schrod1d.rings import RingSpec, validate_ring\n"
+            "print([validate_ring(RingSpec(n)).valid for n in range(1, 9)])\n"
+            "print(run_reproduction('fibonacci-prefix').passed)\n")
+    src = os.path.dirname(os.path.dirname(schrod1d.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[True, True, True, True, False, True, False, False]", "True"]
 
 
 def test_known_witness_moduli():
