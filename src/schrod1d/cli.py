@@ -197,6 +197,8 @@ def cmd_bands(args):
 def cmd_fsm(args):
     cfg = _load_config(args.config)
     p = _potential_from_config(cfg)
+    if p.regime == GAUSSIAN:
+        raise UsageError("fsm needs a real potential, got %s" % p.regime)
     z = _parse_z(cfg.get("z", 0))
     scheme = _parse_scheme(cfg.get("scheme"))
     rhs = _parse_rhs(cfg.get("rhs"))

@@ -14,13 +14,19 @@ the origin and JSON round-trips. Reflection and shifting satisfy
 reflect(p).value(n) == p.value(-n) and shift(p, k).value(n) == p.value(n + k)
 exactly, and reflect is an involution on the nose (same description, not just
 pointwise equality).
+
+array(lo, hi) equals np.array([float(p.value(n)) for n in range(lo, hi + 1)])
+bit for bit and raises where that does; periodic, Sturmian and random
+potentials build it with numpy when their indices fit in 64 bits.
 """
 
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import isqrt
 
-from .prng import counter_value
+import numpy as np
+
+from .prng import counter_value, splitmix64
 from .scalars import (INTEGER, coerce, decode_scalar, decode_scalar_any,
                       encode_scalar, join_regimes, regime_of)
 
@@ -47,6 +53,18 @@ def fibonacci_value(n):
     return _floor_golden_multiple(n + 1) - _floor_golden_multiple(n)
 
 
+def _fibonacci_array(lo, hi):
+    """fibonacci_value(k) for k in [lo, hi], |k| <= 10^9, as floats: the float
+    root of 5 k^2 (< 2^63) is off by under 1e-6, one int64 step fixes it."""
+    k = np.arange(lo, hi + 2, dtype=np.int64)
+    m2 = 5 * k * k
+    s = np.floor(np.sqrt(m2.astype(float))).astype(np.int64)
+    s -= s * s > m2
+    s += (s + 1) * (s + 1) <= m2
+    f = (s - np.abs(k)) // 2
+    return np.diff(np.where(k >= 0, f, -f - 1)).astype(float)
+
+
 def _coerce_word(values, regime):
     return tuple(coerce(v, regime) for v in values)
 
@@ -67,6 +85,10 @@ class Potential:
     def window(self, lo, hi):
         """Values on the inclusive index range [lo, hi]."""
         return [self.value(n) for n in range(lo, hi + 1)]
+
+    def array(self, lo, hi):
+        """float(value(n)) for n in [lo, hi] as one float array."""
+        return np.array([float(self.value(n)) for n in range(lo, hi + 1)])
 
     def shift(self, k):
         raise NotImplementedError
@@ -99,6 +121,13 @@ class PeriodicPotential(Potential):
 
     def value(self, n):
         return self.word[(n - self.phase) % len(self.word)]
+
+    def array(self, lo, hi):
+        q = len(self.word)
+        if hi - lo + 1 < q:  # a full period raises where the site loop does
+            return super().array(lo, hi)
+        table = np.array([float(self.value(n)) for n in range(q)])
+        return table[(np.arange(hi - lo + 1) + lo % q) % q]
 
     def shift(self, k):
         return replace(self, phase=(self.phase - k) % len(self.word))
@@ -185,6 +214,13 @@ class SturmianPotential(Potential):
     def value(self, n):
         return fibonacci_value(self.orientation * n + self.offset)
 
+    def array(self, lo, hi):
+        ends = [self.orientation * n + self.offset for n in (lo, hi)]
+        if hi < lo or max(map(abs, ends)) > 10 ** 9:
+            return super().array(lo, hi)
+        f = _fibonacci_array(min(ends), max(ends))
+        return f if self.orientation == 1 else f[::-1]
+
     def shift(self, k):
         return replace(self, offset=self.offset + self.orientation * k)
 
@@ -258,6 +294,19 @@ class RandomPotential(Potential):
     def value(self, n):
         i = self.orientation * n + self.index_offset
         return self.values[counter_value(self.seed, i) % len(self.values)]
+
+    def array(self, lo, hi):
+        i0, i1 = (self.orientation * n + self.index_offset for n in (lo, hi))
+        if max(abs(i0), abs(i1)) >= 2 ** 62:
+            return super().array(lo, hi)
+        try:
+            table = np.array([float(v) for v in self.values])
+        except (OverflowError, TypeError):  # maybe at a value never drawn
+            return super().array(lo, hi)
+        i = i0 + self.orientation * np.arange(hi - lo + 1, dtype=np.int64)
+        u = np.where(i >= 0, i << 1, (-i << 1) - 1).astype(np.uint64)
+        word = splitmix64(np.uint64(self.seed) ^ splitmix64(u))
+        return table[(word % np.uint64(len(self.values))).astype(np.intp)]
 
     def shift(self, k):
         return replace(self, index_offset=self.index_offset + self.orientation * k)

@@ -292,9 +292,7 @@ def dirichlet_eigenvalues(p, cross_validate=True):
 def _tridiag_data(p, l, r):
     if r < l:
         raise ValueError("empty section")
-    d = np.array([float(p.value(n)) for n in range(l, r + 1)], dtype=float)
-    e = np.ones(r - l, dtype=float)
-    return d, e
+    return p.array(l, r), np.ones(r - l)
 
 
 def truncation_spectrum(p, size):
@@ -308,14 +306,14 @@ def truncation_spectrum(p, size):
     return np.sort(eigvalsh_tridiagonal(d, e, lapack_driver='stebz'))
 
 
-def _count_below(d, e, z):
-    """Number of eigenvalues of the symmetric tridiagonal (d, e) below z,
-    by the standard LDL^T inertia recursion."""
+def _count_below(d, z):
+    """Number of eigenvalues below z of the symmetric tridiagonal section
+    with diagonal d and unit off-diagonals, by the standard LDL^T inertia
+    recursion on Python floats (the unit off-diagonal makes e*e/q = 1/q)."""
     cnt = 0
-    q = 1.0
-    for i in range(len(d)):
-        off = (e[i - 1] * e[i - 1]) / q if i else 0.0
-        q = (d[i] - z) - off
+    q = math.inf  # x - 1.0 / inf is x: the first pivot has no off-diagonal
+    for x in (d - z).tolist():
+        q = x - 1.0 / q
         if q == 0.0:
             q = -1e-300
         if q < 0:
@@ -336,7 +334,7 @@ def smallest_singular_value(p, size, z, start=0):
     zf = float(z)
     if size == 1:
         return abs(d[0] - zf)
-    k = _count_below(d, e, zf)
+    k = _count_below(d, zf)
     idx = sorted({max(0, k - 1), min(size - 1, k)})
     ev = eigvalsh_tridiagonal(d, e, select='i',
                               select_range=(idx[0], idx[-1]),

@@ -6,8 +6,10 @@ by explicit block concatenation, closed forms written out directly, and
 the Sturm route over Q (Euclidean remainders with Fraction coefficients,
 signs read from exact values) that the package's integer kernels replace,
 Yun's square-free decomposition (Yun 1976) in place of the package's
-gcd tower for counting roots with multiplicity, and unit-root grid moduli
-summed numerically at 60 digits in place of the exact value-ring route.
+gcd tower for counting roots with multiplicity, unit-root grid moduli
+summed numerically at 60 digits in place of the exact value-ring route, and
+the general (d, e) inertia recursion over numpy scalars in place of the
+package's unit off-diagonal loop over Python floats.
 """
 
 from fractions import Fraction
@@ -67,6 +69,22 @@ def dense_section(potential, z, l, r):
             rows[i][i + 1] = Fraction(1)
             rows[i + 1][i] = Fraction(1)
     return rows
+
+
+def count_below(d, e, z):
+    """Number of eigenvalues of the symmetric tridiagonal (d, e) below z,
+    by the LDL^T inertia recursion with general off-diagonals e; a zero
+    pivot is replaced by -1e-300."""
+    cnt = 0
+    q = 1.0
+    for i in range(len(d)):
+        off = (e[i - 1] * e[i - 1]) / q if i else 0.0
+        q = (d[i] - z) - off
+        if q == 0.0:
+            q = -1e-300
+        if q < 0:
+            cnt += 1
+    return cnt
 
 
 def golden_word(length):

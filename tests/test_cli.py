@@ -214,6 +214,13 @@ MALFORMED = [
         id="geometric-ratio-1e308"),
     pytest.param("bands", _word([0.5, 1.0]), id="bands-float-word"),
     pytest.param("bands", _word([[1, 1], 2]), id="bands-gaussian-word"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word([[1, 1], 2])),
+                 id="fsm-gaussian-word"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word([[1, 1], 2],
+                                                  regime="gaussian_integer")),
+                 id="fsm-gaussian-declared"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word([10 ** 400, 1])),
+                 id="fsm-huge-int-word"),
     pytest.param("bands", _word(["1/0", 1]), id="bands-zero-denominator"),
     pytest.param("bands", _word(["1/0", 1], regime="rational"),
                  id="bands-zero-denominator-rational"),

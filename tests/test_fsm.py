@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import schrod1d.fsm as fsm
 import schrod1d.potential as pot
+from schrod1d.jsonio import dumps
 from oracles import fullline_constant4_x0, halfline_constant4_x0
 
 
@@ -207,3 +208,31 @@ def test_solve_section_residuals(word, size):
     except fsm.SectionSingularError:
         return
     assert resid <= 1e-10
+
+
+IDENTITY_CASES = [
+    pytest.param(pot.periodic([F(1, 3), -2, 5, F(-7, 4)], phase=2), 0,
+                 scheme_full(5, 9, 7, 11), id="rational-periodic-phase"),
+    pytest.param(pot.sturmian(10 ** 6), -3,
+                 scheme_full(9, 13, 6, 17), id="sturmian-offset"),
+    pytest.param(pot.random_values(2 ** 63 + 11, [-4, F(5, 2), 6]), 0,
+                 scheme_half(7, 23), id="random-rational-value"),
+    pytest.param(pot.periodic([F(1, 2), 2, 0]), 0,
+                 scheme_half(6, 6), id="defect-word"),
+]
+
+
+@pytest.mark.parametrize("p,z,scheme", IDENTITY_CASES)
+def test_float_layer_matches_site_route(monkeypatch, p, z, scheme):
+    # the array builders must reproduce every float of the per-site route
+    def outputs():
+        report = fsm.run_fsm(p, z, scheme, count=8)
+        scan = fsm.stability_scan(p, z, sizes=range(9, 200, 17),
+                                  operator=scheme.operator)
+        return dumps(report.to_json()), dumps(scan.to_json())
+
+    fast = outputs()
+    for cls in (pot.PeriodicPotential, pot.SturmianPotential,
+                pot.RandomPotential):
+        monkeypatch.setattr(cls, "array", pot.Potential.array)
+    assert outputs() == fast

@@ -1,5 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,3 +157,108 @@ def test_random_shift_reflect_identities(seed, n, k):
     p = pot.random_values(seed, [0, 1, 5])
     assert pot.shift(p, k).value(n) == p.value(n + k)
     assert pot.reflect(p).value(n) == p.value(-n)
+
+
+def site_route(p, lo, hi):
+    """The per-site float route that Potential.array must equal bit for bit."""
+    return np.array([float(p.value(n)) for n in range(lo, hi + 1)])
+
+
+def near(*centres):
+    return st.one_of(*(st.integers(min_value=c - 40, max_value=c + 40)
+                       for c in centres))
+
+
+entries = st.one_of(st.integers(min_value=-5, max_value=5),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=7))
+float_entries = st.floats(min_value=-5, max_value=5, allow_nan=False)
+
+
+@st.composite
+def any_potential(draw):
+    family = draw(st.sampled_from(["periodic", "sturmian", "random",
+                                   "eventually_periodic", "explicit"]))
+    words = st.lists(st.one_of(entries, float_entries) if draw(st.booleans())
+                     else entries, min_size=1, max_size=6)
+    if family == "periodic":
+        p = pot.periodic(draw(words), phase=draw(st.integers(-10, 10)))
+    elif family == "sturmian":
+        p = pot.sturmian(draw(near(0, 10 ** 9, -10 ** 9, 10 ** 24)),
+                         draw(st.sampled_from([1, -1])))
+    elif family == "random":
+        p = replace(pot.random_values(draw(st.integers(0, 2 ** 64 - 1)),
+                                      draw(words)),
+                    index_offset=draw(near(0, 2 ** 62, -2 ** 62, 10 ** 26)),
+                    orientation=draw(st.sampled_from([1, -1])))
+    elif family == "eventually_periodic":
+        p = pot.eventually_periodic(draw(words), draw(words), 0, draw(words))
+    else:
+        p = pot.explicit(draw(words), start=-2, outside=draw(entries))
+    if draw(st.booleans()):
+        p = pot.reflect(p)
+    return pot.shift(p, draw(st.one_of(st.integers(-30, 30), near(0, 10 ** 9))))
+
+
+@given(any_potential(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_array_matches_site_route(p, data):
+    # lo near 0, near the index where a Sturmian or random potential's own
+    # counter crosses a fast-path limit, and far out on both sides
+    lo = data.draw(st.one_of(near(0, 10 ** 9, -10 ** 9, 2 ** 62, -2 ** 62),
+                             st.integers(-10 ** 30, 10 ** 30)))
+    hi = lo + data.draw(st.integers(min_value=-1, max_value=60))
+    got, want = p.array(lo, hi), site_route(p, lo, hi)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("offset", [
+    10 ** 9 - 20, -10 ** 9 + 20, 2 * 10 ** 9, -4 * 10 ** 9, 10 ** 24])
+def test_sturmian_array_across_limits(offset, orientation):
+    p = pot.sturmian(offset, orientation)
+    for lo in (-40, 0, 40 - 2 * offset):
+        want = site_route(p, lo, lo + 50)
+        assert p.array(lo, lo + 50).tobytes() == want.tobytes()
+
+
+def test_sturmian_array_at_fibonacci_indices():
+    # 5 F_n^2 = L_n^2 -+ 4: sqrt(5) F_n is within 1e-8 of the integer L_n, so
+    # the float root lands on the wrong side and the exact step must fix it
+    fib = [1, 2]
+    while fib[-1] <= 10 ** 9:
+        fib.append(fib[-1] + fib[-2])
+    for f in fib[20:-1]:
+        for orientation in (1, -1):
+            p = pot.sturmian(orientation * (f - 25), orientation)
+            for q in (p, pot.reflect(p)):
+                want = site_route(q, -30, 30)
+                assert q.array(-30, 30).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("offset", [
+    2 ** 62 - 20, -2 ** 62 + 20, 2 ** 63 - 20, -2 ** 64, 10 ** 26])
+def test_random_array_across_limits(offset, orientation):
+    p = replace(pot.random_values(2 ** 64 - 1, [F(1, 3), -2, 7]),
+                index_offset=offset, orientation=orientation)
+    for lo in (-40, 0, 40 - 2 * offset):
+        want = site_route(p, lo, lo + 50)
+        assert p.array(lo, lo + 50).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [
+    pot.periodic([1, 10 ** 400, 2]),
+    pot.periodic([F(10 ** 400, 3), F(1, 2)]),
+    pot.random_values(5, [1, 10 ** 400]),
+    pot.random_values(5, [F(1, 2), F(-10 ** 400, 7), 3]),
+    pot.explicit([10 ** 400], start=0)])
+def test_array_overflow_like_site_route(p):
+    for lo, hi in [(-20, 20), (0, 0), (1, 1), (2, 2), (5, 4), (-3, -2)]:
+        try:
+            want = site_route(p, lo, hi)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=str(exc)):
+                p.array(lo, hi)
+        else:
+            assert p.array(lo, hi).tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import pytest
@@ -8,6 +9,15 @@ from schrod1d.prng import CounterRng, counter_value, splitmix64
 def test_splitmix_reference_value():
     # first output of the standard generator seeded at 0
     assert splitmix64(0) == 0xE220A8397B1DCDAF
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=20))
+@settings(max_examples=80, deadline=None)
+def test_splitmix_on_uint64_arrays(xs):
+    xs = [0, 1, 2 ** 63, 2 ** 64 - 1] + xs
+    out = splitmix64(np.array(xs, dtype=np.uint64))
+    assert out.dtype == np.uint64
+    assert [int(v) for v in out] == [splitmix64(x) for x in xs]
 
 
 def test_counter_value_deterministic_and_signed():

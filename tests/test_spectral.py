@@ -9,7 +9,7 @@ import schrod1d.polynomials as pl
 import schrod1d.potential as pot
 import schrod1d.spectral as sp
 import schrod1d.transfer as tr
-from oracles import constant4_eigenvalues, constant4_sigma_min
+from oracles import constant4_eigenvalues, constant4_sigma_min, count_below
 
 
 int_words = st.lists(st.integers(min_value=-4, max_value=4),
@@ -187,6 +187,64 @@ def test_sigma_min_matches_full_spectrum(word, size, z):
     spec = sp.truncation_spectrum(p, size)
     ref = float(np.min(np.abs(spec - float(z))))
     assert abs(got - ref) <= 1e-9 * max(1.0, ref)
+
+
+def exact_pivots(diag, z):
+    """LDL^T pivots of the unit off-diagonal section at z, over Q."""
+    pivots = []
+    for v in diag:
+        q = F(v) - F(z) - (1 / pivots[-1] if pivots else 0)
+        pivots.append(q)
+        if q == 0:
+            break  # z is an exact eigenvalue of this leading section
+    return pivots
+
+
+@st.composite
+def diagonals_and_shifts(draw):
+    entry = st.one_of(st.integers(min_value=-4, max_value=4),
+                      st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=6))
+    diag = draw(st.lists(entry, min_size=1, max_size=12))
+    # exact eigenvalues of leading sections among small rationals: the
+    # float pivot at such a z can land on 0.0, the branch that replaces it
+    grid = {F(n, 2) for n in range(-16, 17)} | {F(v) + s for v in diag
+                                                for s in (-1, 0, 1)}
+    exact = sorted(z for z in grid if exact_pivots(diag, z)[-1] == 0)
+    z = draw(st.sampled_from(sorted(set(map(F, diag))) + exact))
+    return diag, z
+
+
+@given(diagonals_and_shifts())
+@settings(max_examples=200, deadline=None)
+def test_count_below_matches_reference(case):
+    diag, z = case
+    d = np.array([float(v) for v in diag])
+    assert sp._count_below(d, float(z)) == \
+        count_below(d, np.ones(len(d) - 1), float(z))
+
+
+@pytest.mark.parametrize("diag,z", [
+    ([0, 0, 0], 0), ([0, 0, 0], 1), ([0, 0, 0], -1), ([2, 2, 5], 3),
+    ([F(1, 2), F(1, 2), 3], F(3, 2)), ([1, 1, 1, 1], 0), ([1] * 9, 2)])
+def test_count_below_zero_pivot(diag, z):
+    # an exact pivot vanishes and the float pivot hits 0.0 as well
+    assert exact_pivots(diag, z)[-1] == 0
+    d = np.array([float(v) for v in diag])
+    zf = float(z)
+    pivots = [d[0] - zf]
+    for x in d[1:len(exact_pivots(diag, z))] - zf:
+        pivots.append(x - 1.0 / pivots[-1])
+    assert pivots[-1] == 0.0
+    assert sp._count_below(d, zf) == count_below(d, np.ones(len(d) - 1), zf)
+
+
+def test_count_below_on_long_sections():
+    for p in (pot.sturmian(5), pot.random_values(3, [F(1, 3), -2, 2])):
+        d = p.array(0, 4000)
+        for z in (-2.5, 0.0, F(1, 3), 1.0, 3.5):
+            assert sp._count_below(d, float(z)) == \
+                count_below(d, np.ones(len(d) - 1), float(z))
 
 
 def test_sigma_min_closed_form():
