@@ -20,7 +20,8 @@ from . import jsonio
 from .fsm import CutoffSequence, GridVector, SectionScheme, run_fsm
 from .potential import PeriodicPotential, potential_from_json
 from .reproduce import REPRODUCTIONS, run_reproduction
-from .scalars import GAUSSIAN, INTEGER, RATIONAL, decode_scalar_any, regime_of
+from .scalars import (GAUSSIAN, INTEGER, RATIONAL, _require_int,
+                      decode_scalar_any, regime_of)
 from .spectral import (CrossValidationError, SpectralStructureError,
                        dirichlet_eigenvalues)
 from .transfer import monodromy_dirichlet_test
@@ -35,135 +36,137 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise UsageError("cannot read config: %s" % exc)
-    except json.JSONDecodeError as exc:
-        raise UsageError("config is not valid JSON: %s" % exc)
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
-    return cfg
+class _Object(dict):
+    """A JSON object of a config that records the keys looked up through
+    get, the way every config reader, potential_from_json too, reads one."""
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
-def _parse_z(doc):
-    try:
-        z = decode_scalar_any(doc)
-    except ValueError as exc:
-        raise UsageError("bad scalar %r: %s" % (doc, exc))
-    if regime_of(z) == GAUSSIAN:
-        raise UsageError("z must be a number or a 'p/q' string")
-    return z
+def _object(doc, what):
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    return doc
 
 
 def _int_field(doc, key, default, label):
-    """doc[key] (or the default), which must be an int: a float, bool or
-    string is a usage error naming the field, never truncated."""
-    v = doc.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise UsageError("%s must be an integer, got %r" % (label, v))
-    return v
+    return _require_int(doc.get(key, default), "%s must be an integer" % label)
 
 
 def _number_field(v, label):
     """v, which must be a finite int or float, never a coerced bool or str."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or \
             (isinstance(v, float) and not math.isfinite(v)):
-        raise UsageError("%s must be a finite number, got %r" % (label, v))
+        raise ValueError("%s must be a finite number, got %r" % (label, v))
     return v
 
 
-def _parse_cutoffs(doc):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise UsageError("cutoff document needs a 'kind' field")
-    kind = doc["kind"]
-    try:
-        if kind == "arithmetic":
-            return CutoffSequence.arithmetic(
-                _int_field(doc, "start", 8, "cutoff start"),
-                _int_field(doc, "step", 8, "cutoff step"))
-        if kind == "geometric":
-            return CutoffSequence.geometric(
-                _int_field(doc, "start", 8, "cutoff start"),
-                float(_number_field(doc.get("ratio", 1.5), "cutoff ratio")))
-        if kind == "explicit":
-            return CutoffSequence.explicit(doc.get("values", ()))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError("bad cutoff document: %s" % exc)
-    raise UsageError("unknown cutoff kind %r" % kind)
+def _cutoffs(doc, what):
+    kind = _object(doc, what).get("kind")
+    if kind == "arithmetic":
+        return CutoffSequence.arithmetic(
+            _int_field(doc, "start", 8, "cutoff start"),
+            _int_field(doc, "step", 8, "cutoff step"))
+    if kind == "geometric":
+        return CutoffSequence.geometric(
+            _int_field(doc, "start", 8, "cutoff start"),
+            float(_number_field(doc.get("ratio", 1.5), "cutoff ratio")))
+    if kind == "explicit":
+        return CutoffSequence.explicit(doc.get("values", ()))
+    raise ValueError("unknown %s kind %r" % (what, kind))
 
 
-def _parse_scheme(doc):
-    if not isinstance(doc, dict):
-        raise UsageError("scheme document must be an object")
-    side = doc.get("side")
+def _scheme(doc):
+    side = _object(doc, "scheme").get("side")
     if side not in ("full_line", "half_line"):
-        raise UsageError("scheme side must be full_line or half_line")
-    cut = doc.get("cutoffs")
-    if not isinstance(cut, dict):
-        raise UsageError("scheme needs a 'cutoffs' object")
-    try:
-        if side == "full_line":
-            if "right" not in cut or "left" not in cut:
-                raise UsageError("full_line cutoffs need 'left' and 'right'")
-            return SectionScheme(operator=side,
-                                 right=_parse_cutoffs(cut["right"]),
-                                 left=_parse_cutoffs(cut["left"]))
-        right = cut.get("right", cut if "kind" in cut else None)
-        if right is None:
-            raise UsageError("half_line cutoffs need 'right'")
-        return SectionScheme(operator=side, right=_parse_cutoffs(right))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("scheme side must be full_line or half_line")
+    cut = _object(doc.get("cutoffs"), "scheme cutoffs")
+    left = (_cutoffs(cut.get("left"), "left cutoffs")
+            if side == "full_line" else None)
+    return SectionScheme(operator=side, left=left,
+                         right=_cutoffs(cut.get("right"), "right cutoffs"))
 
 
-def _parse_rhs(doc):
+def _rhs(doc):
     if doc is None:
         return GridVector.delta(0)
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise UsageError("rhs document needs a 'kind' field")
+    kind = _object(doc, "rhs").get("kind")
+    if kind == "delta":
+        return GridVector.delta(_int_field(doc, "site", 0, "rhs site"))
+    if kind == "vector":
+        values = doc.get("values")
+        if not isinstance(values, list) or not values:
+            raise ValueError("rhs vector needs a nonempty 'values' array")
+        return GridVector(start=_int_field(doc, "start", 0, "rhs start"),
+                          values=tuple(float(_number_field(v, "rhs value"))
+                                       for v in values))
+    raise ValueError("unknown rhs kind %r" % (kind,))
+
+
+def _read_config(path, command):
+    """The checked inputs of a command from its JSON config: the periodic
+    potential for bands, (potential, z, scheme, rhs, count) for fsm.
+
+    Each object of the config may hold only the keys its reader looks up.
+    A malformed, missing or unknown field is a UsageError naming it.
+    """
+    objects = []  # innermost first, as json builds them
+
+    def hook(doc):
+        objects.append(_Object(doc))
+        return objects[-1]
+
     try:
-        if doc["kind"] == "delta":
-            return GridVector.delta(_int_field(doc, "site", 0, "rhs site"))
-        if doc["kind"] == "vector":
-            values = doc.get("values")
-            if not values:
-                raise UsageError("rhs vector needs nonempty 'values'")
-            return GridVector(start=_int_field(doc, "start", 0, "rhs start"),
-                              values=tuple(float(_number_field(v, "rhs value"))
-                                           for v in values))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError("bad rhs document: %s" % exc)
-    raise UsageError("unknown rhs kind %r" % doc["kind"])
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = _object(json.load(fh, object_hook=hook), "config")
+        p = potential_from_json(_object(cfg.get("potential"), "potential"))
+        if command == "bands":
+            if not isinstance(p, PeriodicPotential) or \
+                    p.regime not in (INTEGER, RATIONAL):
+                raise ValueError("bands needs a periodic integer or rational "
+                                 "word, got %s %s" % (p.regime, p.kind))
+            list(map(float, p.word))  # the cross-check runs in floats
+            inputs = p
+        else:
+            if p.regime == GAUSSIAN:
+                raise ValueError("fsm needs a real potential, got %s"
+                                 % p.regime)
+            z = decode_scalar_any(cfg.get("z", 0))
+            if regime_of(z) == GAUSSIAN:
+                raise ValueError("z must be a number or a 'p/q' string")
+            scheme = _scheme(cfg.get("scheme"))
+            rhs = _rhs(cfg.get("rhs"))
+            count = _int_field(cfg, "count", 12, "count")
+            if count < 1:
+                raise ValueError("count must be at least 1, got %d" % count)
+            scheme.sections(count)
+            inputs = p, z, scheme, rhs, count
+        for obj in reversed(objects):
+            unknown = sorted(set(obj) - obj.read)
+            if unknown:
+                raise ValueError("unknown key %r" % unknown[0])
+        return inputs
+    except OSError as exc:
+        raise UsageError("cannot read config: %s" % exc)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise UsageError("bad config: %s" % exc)
 
 
-def _potential_from_config(cfg):
-    doc = cfg.get("potential")
-    if not isinstance(doc, dict):
-        raise UsageError("config needs a 'potential' object")
-    try:
-        return potential_from_json(doc)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise UsageError("bad potential document: %s" % exc)
-
-
-def _outdir(args, cfg):
-    out = args.out or cfg.get("out") or "."
+def _outdir(args):
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def cmd_bands(args):
-    cfg = _load_config(args.config)
-    p = _potential_from_config(cfg)
-    if not isinstance(p, PeriodicPotential):
-        raise UsageError("bands needs a periodic potential")
-    if p.regime not in (INTEGER, RATIONAL):
-        raise UsageError("bands needs an integer or rational word, got %s"
-                         % p.regime)
-    out = _outdir(args, cfg)
+    p = _read_config(args.config, "bands")
+    out = _outdir(args)
     ds = dirichlet_eigenvalues(p)
     bs = ds.band_set
     certificates = []
@@ -195,21 +198,8 @@ def cmd_bands(args):
 
 
 def cmd_fsm(args):
-    cfg = _load_config(args.config)
-    p = _potential_from_config(cfg)
-    if p.regime == GAUSSIAN:
-        raise UsageError("fsm needs a real potential, got %s" % p.regime)
-    z = _parse_z(cfg.get("z", 0))
-    scheme = _parse_scheme(cfg.get("scheme"))
-    rhs = _parse_rhs(cfg.get("rhs"))
-    count = _int_field(cfg, "count", 12, "count")
-    if count < 1:
-        raise UsageError("count must be at least 1, got %d" % count)
-    try:
-        scheme.sections(count)
-    except (ValueError, OverflowError) as exc:
-        raise UsageError("bad scheme: %s" % exc)
-    out = _outdir(args, cfg)
+    p, z, scheme, rhs, count = _read_config(args.config, "fsm")
+    out = _outdir(args)
     try:
         report = run_fsm(p, z, scheme, rhs=rhs, count=count)
     except OverflowError as exc:  # raised before any section is solved
@@ -227,11 +217,10 @@ def cmd_fsm(args):
         ["size", "sigma_min"],
         [(r.size, r.sigma_min) for r in report.rows])
     print("verdict: %s (%s)" % (report.verdict, "; ".join(report.reasons)))
-    if args.exploratory or cfg.get("exploratory"):
+    if args.exploratory:
         return EXIT_PASS
-    expect = args.expect or cfg.get("expect")
-    if expect is not None:
-        return EXIT_PASS if report.verdict == expect else EXIT_FAILED
+    if args.expect is not None:
+        return EXIT_PASS if report.verdict == args.expect else EXIT_FAILED
     if report.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
     return EXIT_PASS
@@ -245,8 +234,7 @@ def cmd_reproduce(args):
         if args.count is not None:
             kwargs["count"] = args.count
     result = run_reproduction(args.name, **kwargs)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    out = _outdir(args)
     jsonio.write_json(os.path.join(out, "%s.json" % args.name), result)
     for c in result.checks:
         print("[%s] %s: %s" % ("PASS" if c.passed else "FAIL", c.name, c.detail))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .scalars import _require_int
 from .spectral import _tridiag_data, smallest_singular_value
 from .transfer import _least_squares_slope
 
@@ -57,11 +58,8 @@ class CutoffSequence:
 
     @classmethod
     def explicit(cls, values):
-        vals = tuple(values)
-        bad = [v for v in vals if isinstance(v, bool) or not isinstance(v, int)]
-        if bad:
-            raise ValueError("explicit cutoff values must be integers, got %r"
-                             % bad[0])
+        vals = tuple(_require_int(v, "explicit cutoff values must be integers")
+                     for v in values)
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])) or vals[0] < 1:
             raise ValueError("explicit cutoffs must be strictly increasing, >= 1")
         return cls(kind="explicit", explicit_values=vals)
@@ -104,16 +102,17 @@ class SectionScheme:
         return l, r
 
     def sections(self, count):
-        """Up to count sections; ValueError on a cutoff past REFERENCE_CAP."""
+        """Up to count sections; ValueError on a cutoff past REFERENCE_CAP,
+        read off the last (widest) section before any other is built."""
         for seq in (self.right, self.left):
             if seq is not None and seq.count_limit() is not None:
                 count = min(count, seq.count_limit())
+        if count > 0 and max(map(abs, self.section(count - 1))) > REFERENCE_CAP:
+            raise ValueError("a cutoff exceeds the cap %d" % REFERENCE_CAP)
         out = [self.section(n) for n in range(count)]
         for (l0, r0), (l1, r1) in zip(out, out[1:]):
             if not (l1 <= l0 and r1 > r0):
                 raise ValueError("sections must expand monotonically")
-        if out and max(out[-1][1], -out[-1][0]) > REFERENCE_CAP:
-            raise ValueError("a cutoff exceeds the cap %d" % REFERENCE_CAP)
         return out
 
 

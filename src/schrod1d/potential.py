@@ -27,8 +27,9 @@ from math import isqrt
 import numpy as np
 
 from .prng import counter_value, splitmix64
-from .scalars import (INTEGER, coerce, decode_scalar, decode_scalar_any,
-                      encode_scalar, join_regimes, regime_of)
+from .scalars import (INTEGER, REGIMES, RegimeError, _require_int, coerce,
+                      decode_scalar, decode_scalar_any, encode_scalar,
+                      join_regimes, regime_of)
 
 
 def _floor_golden_multiple(n):
@@ -123,11 +124,9 @@ class PeriodicPotential(Potential):
         return self.word[(n - self.phase) % len(self.word)]
 
     def array(self, lo, hi):
-        q = len(self.word)
-        if hi - lo + 1 < q:  # a full period raises where the site loop does
-            return super().array(lo, hi)
-        table = np.array([float(self.value(n)) for n in range(q)])
-        return table[(np.arange(hi - lo + 1) + lo % q) % q]
+        n, q = hi - lo + 1, len(self.word)
+        table = super().array(lo, lo + min(q, n) - 1)  # the sites it reads
+        return table[np.arange(n) % q]
 
     def shift(self, k):
         return replace(self, phase=(self.phase - k) % len(self.word))
@@ -360,40 +359,44 @@ def potential_from_json(doc):
     """Rebuild any potential family from its to_json document.
 
     A declared "regime" field makes decoding strict; without one the regime
-    is inferred from the entries (handy for hand-written configs).
+    is inferred from the entries (handy for hand-written configs). Words
+    must be arrays: a string is not read as its characters.
     """
     kind = doc.get("kind")
     declared = "regime" in doc
     regime = doc.get("regime", INTEGER)
+    if regime not in REGIMES:
+        raise RegimeError("unknown regime %r" % (regime,))
     given = regime if declared else None
 
     def dec1(v):
         return decode_scalar(v, regime) if declared else decode_scalar_any(v)
 
-    def dec(vs):
+    def dec(name, default=None):
+        vs = doc.get(name, default)
+        if not isinstance(vs, (list, tuple)):
+            raise ValueError("%s must be an array, got %r" % (name, vs))
         return tuple(dec1(v) for v in vs)
 
-    def index(name, *default):
-        v = doc.get(name, *default) if default else doc[name]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError("%s must be an integer, got %r" % (name, v))
-        return v
+    def index(name, default=None):
+        return _require_int(doc.get(name, default),
+                            "%s must be an integer" % name)
 
     if kind == "periodic":
-        return periodic(dec(doc["word"]), index("phase", 0), given)
+        return periodic(dec("word"), index("phase", 0), given)
     if kind == "eventually_periodic":
         return eventually_periodic(
-            dec(doc["left_word"]), dec(doc.get("core", [])),
-            index("core_start"), dec(doc["right_word"]), given)
+            dec("left_word"), dec("core", []),
+            index("core_start"), dec("right_word"), given)
     if kind == "sturmian":
         if doc.get("slope", "golden-ratio") != "golden-ratio":
             raise ValueError("unsupported sturmian slope %r" % doc.get("slope"))
         return SturmianPotential(index("offset", 0), index("orientation", 1))
     if kind == "explicit":
-        return explicit(dec(doc["window"]), index("start"),
+        return explicit(dec("window"), index("start"),
                         dec1(doc.get("outside", 0)), given)
     if kind == "random":
-        base = random_values(index("seed"), dec(doc["values"]), given)
+        base = random_values(index("seed"), dec("values"), given)
         return replace(base, index_offset=index("index_offset", 0),
                        orientation=index("orientation", 1))
     raise ValueError("unknown potential kind %r" % (kind,))

@@ -164,12 +164,18 @@ def encode_scalar(x):
     return [x.re, x.im]
 
 
+def _require_int(v, claim):
+    """v, which must be an int: a float, bool or string is a RegimeError
+    "<claim>, got <v>", never truncated or coerced."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise RegimeError("%s, got %r" % (claim, v))
+    return v
+
+
 def decode_scalar(v, regime):
     """Inverse of encode_scalar under a declared regime."""
     if regime == INTEGER:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise RegimeError("expected integer, got %r" % (v,))
-        return v
+        return _require_int(v, "expected integer")
     if regime == RATIONAL:
         if isinstance(v, str):
             num, _, den = v.partition("/")

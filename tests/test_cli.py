@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schrod1d
 from schrod1d import cli, spectral
+from test_potential import family_examples
 
 
 def write_cfg(tmp_path, name, doc):
@@ -275,6 +282,23 @@ MALFORMED = [
                  id="geometric-ratio-1e6"),
     pytest.param("fsm", _cutoff_doc(start=10 ** 12),
                  id="arithmetic-start-1e12"),
+    # the flags alone set these; as config keys they are unknown
+    pytest.param("fsm", _fsm_doc(out=5), id="config-out-key"),
+    pytest.param("fsm", _fsm_doc(expect="bogus"), id="config-expect-key"),
+    pytest.param("fsm", _fsm_doc(exploratory="no"),
+                 id="config-exploratory-key"),
+    # half_line takes a single 'right' cutoff document
+    pytest.param("fsm", _fsm_doc(scheme={"side": "half_line", "cutoffs": {
+        "kind": "arithmetic", "start": 4, "step": 4}}),
+        id="half-line-bare-cutoffs"),
+    pytest.param("bands", dict(_word([4]), z=0, count=4),
+                 id="bands-with-fsm-keys"),
+    pytest.param("bands", _word([4], phse=1), id="potential-unknown-key"),
+    # a string is not an array of its characters
+    pytest.param("bands", _word("12"), id="bands-word-string"),
+    pytest.param("fsm", dict(_fsm_doc(), potential={
+        "kind": "random", "seed": 1, "values": "35"}),
+        id="random-values-string"),
 ]
 
 
@@ -293,6 +317,161 @@ def test_malformed_config_is_a_usage_error(tmp_path, command, doc):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert not (tmp_path / "out").exists() or \
         not os.listdir(tmp_path / "out")
+
+
+# Mutations of well-formed configs. Every potential keeps |v(n) - z| >= 5/2
+# at every site (z is 0 or +-1/2, and 0 when dropped), so every section is
+# invertible and the reference certifies at a small window; cutoffs stay at
+# or below 64 and count at or below 4 (12 when dropped), far below 2^20.
+_ENTRIES = st.sampled_from([3, -3, 4, -5, "7/2", "-10/3"])
+_WORDS = st.lists(_ENTRIES, min_size=1, max_size=4)
+_INDEX = st.integers(-20, 20)
+_FSM_POTENTIALS = st.one_of(
+    st.builds(lambda w, k: {"kind": "periodic", "word": w, "phase": k},
+              _WORDS, _INDEX),
+    st.builds(lambda w: {"kind": "periodic", "regime": "rational", "word": w},
+              _WORDS),
+    st.builds(lambda a, b, c, k: {"kind": "eventually_periodic",
+                                  "left_word": a, "core": b, "core_start": k,
+                                  "right_word": c},
+              _WORDS, _WORDS, _WORDS, _INDEX),
+    st.builds(lambda w, k: {"kind": "explicit", "window": w, "start": k,
+                            "outside": 4}, _WORDS, _INDEX),
+    st.builds(lambda seed, w, k, o: {"kind": "random", "seed": seed,
+                                     "values": w, "index_offset": k,
+                                     "orientation": o},
+              st.integers(0, 2 ** 32), _WORDS, _INDEX,
+              st.sampled_from([1, -1])))
+_CUTOFFS = st.one_of(
+    st.builds(lambda a, b: {"kind": "arithmetic", "start": a, "step": b},
+              st.integers(1, 16), st.integers(1, 16)),
+    st.builds(lambda a, r: {"kind": "geometric", "start": a, "ratio": r},
+              st.integers(1, 8), st.sampled_from([1.5, 2.0])),
+    st.builds(lambda v: {"kind": "explicit", "values": sorted(v)},
+              st.sets(st.integers(1, 64), min_size=1, max_size=4)))
+_RHS = st.one_of(
+    st.builds(lambda k: {"kind": "delta", "site": k}, st.integers(-3, 3)),
+    st.builds(lambda k, v: {"kind": "vector", "start": k, "values": v},
+              st.integers(-3, 3),
+              st.lists(st.sampled_from([1.0, -0.5, 2]), min_size=1,
+                       max_size=3)))
+
+
+@st.composite
+def _fsm_configs(draw):
+    side = draw(st.sampled_from(["full_line", "half_line"]))
+    cutoffs = {"right": draw(_CUTOFFS)}
+    if side == "full_line":
+        cutoffs["left"] = draw(_CUTOFFS)
+    doc = {"potential": draw(_FSM_POTENTIALS),
+           "z": draw(st.sampled_from([0, "1/2", -0.5])),
+           "scheme": {"side": side, "cutoffs": cutoffs},
+           "count": draw(st.integers(1, 4))}
+    if draw(st.booleans()):
+        doc["rhs"] = draw(_RHS)
+    return "fsm", doc
+
+
+_BANDS_CONFIGS = st.builds(
+    lambda w, k, rational: ("bands", {"potential": dict(
+        {"kind": "periodic", "word": w, "phase": k},
+        **({"regime": "rational"} if rational else {}))}),
+    st.lists(st.sampled_from([0, 1, -2, 3, "1/2", "-3/2"]), min_size=1,
+             max_size=4),
+    _INDEX, st.booleans())
+
+# keys that may be left out of the top level, a cutoff or rhs document,
+# and a potential document
+_OPTIONAL_KEYS = {"z", "rhs", "count", "start", "step", "ratio", "site"}
+_OPTIONAL_POTENTIAL_KEYS = {"phase", "regime", "core", "outside",
+                            "index_offset", "orientation"}
+# never a key of the object it is added to: keys of other objects, or none
+_FOREIGN_KEYS = ["out", "expect", "exploratory", "phse", "z", "count",
+                 "left", "step", "values"]
+
+
+def _paths(doc, path=()):
+    """(path, value) of every object member and array entry inside doc."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _paths(value, path + (key,))
+
+
+def _json_type(v):
+    return next(t for t in (bool, dict, list, str, object) if isinstance(v, t))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """(command, doc, expected) with expected "malformed", "well-formed" or
+    None where either is allowed (an integer beyond any float)."""
+    command, doc = draw(st.one_of(_fsm_configs(), _BANDS_CONFIGS))
+    doc = copy.deepcopy(doc)
+    paths = list(_paths(doc))
+    kind = draw(st.sampled_from(["none", "drop", "add", "swap", "nan",
+                                 "huge"]))
+    if kind == "none":
+        return command, doc, "well-formed"
+    if kind == "add":
+        objects = [doc] + [v for _, v in paths if isinstance(v, dict)]
+        target = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from([k for k in _FOREIGN_KEYS
+                                    if k not in target]))
+        target[key] = 1
+        return command, doc, "malformed"
+    if kind == "drop":
+        path, _ = draw(st.sampled_from(
+            [(p, v) for p, v in paths if isinstance(p[-1], str)]))
+        parent = functools.reduce(lambda d, k: d[k], path[:-1], doc)
+        del parent[path[-1]]
+        optional = (_OPTIONAL_POTENTIAL_KEYS if path[:-1] == ("potential",)
+                    else _OPTIONAL_KEYS)
+        return command, doc, ("well-formed" if path[-1] in optional
+                              else "malformed")
+    path, old = draw(st.sampled_from(paths))
+    if kind == "swap":
+        new = draw(st.sampled_from([v for v in (True, "x", {}, [])
+                                    if _json_type(v) != _json_type(old)]))
+    else:
+        new = float("nan") if kind == "nan" else 10 ** 400
+    parent = functools.reduce(lambda d, k: d[k], path[:-1], doc)
+    parent[path[-1]] = new
+    return command, doc, None if kind == "huge" else "malformed"
+
+
+@given(_mutated_configs())
+@settings(max_examples=150, deadline=None)
+def test_mutated_configs_keep_the_exit_code_contract(case):
+    command, doc, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "c.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--config", cfg, "--out", out])
+        made = os.path.exists(out)
+    # an exception out of main would be a traceback: the test fails on it
+    lines = err.getvalue().splitlines()
+    assert rc in ((0, 1, 3) if expected == "well-formed" else
+                  (2,) if expected == "malformed" else (0, 1, 2, 3)), lines
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert not (expected == "malformed" and made)
+
+
+@pytest.mark.parametrize("p", family_examples())
+def test_config_accepts_every_key_to_json_writes(tmp_path, p):
+    cfg = write_cfg(tmp_path, "c.json", _fsm_doc(potential=p.to_json()))
+    assert cli._read_config(cfg, "fsm")[0] == p
 
 
 def test_bad_index_field_is_named(tmp_path, capsys):

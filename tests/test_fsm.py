@@ -70,6 +70,17 @@ def test_scheme_sections():
                           right=fsm.CutoffSequence.arithmetic())
 
 
+def test_sections_past_the_cap_are_refused_before_any_is_built(monkeypatch):
+    # a huge count must not build every section before it reaches the cap
+    built = []
+    section = fsm.SectionScheme.section
+    monkeypatch.setattr(fsm.SectionScheme, "section",
+                        lambda self, n: built.append(n) or section(self, n))
+    with pytest.raises(ValueError, match="cap"):
+        scheme_half().sections(10 ** 6)
+    assert built == [10 ** 6 - 1]
+
+
 def test_grid_vector():
     v = fsm.GridVector.from_array(-2, [1.0, 2.0, 3.0])
     assert v.stop == 1
