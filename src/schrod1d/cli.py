@@ -199,11 +199,11 @@ def cmd_bands(args):
 
 def cmd_fsm(args):
     p, z, scheme, rhs, count = _read_config(args.config, "fsm")
-    out = _outdir(args)
     try:
         report = run_fsm(p, z, scheme, rhs=rhs, count=count)
     except OverflowError as exc:  # raised before any section is solved
         raise UsageError("config value out of float range: %s" % exc)
+    out = _outdir(args)
     jsonio.write_json(os.path.join(out, "fsm_report.json"), report)
     jsonio.write_csv(
         os.path.join(out, "fsm_report.csv"),
@@ -228,11 +228,14 @@ def cmd_fsm(args):
 
 def cmd_reproduce(args):
     kwargs = {}
-    if args.name == "integer-avoidance":
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.count is not None:
-            kwargs["count"] = args.count
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    if args.count is not None:
+        if args.count < 1:
+            raise UsageError("--count must be at least 1, got %d" % args.count)
+        kwargs["count"] = args.count
+    if kwargs and args.name != "integer-avoidance":
+        raise UsageError("--seed and --count apply to integer-avoidance only")
     result = run_reproduction(args.name, **kwargs)
     out = _outdir(args)
     jsonio.write_json(os.path.join(out, "%s.json" % args.name), result)

@@ -31,6 +31,7 @@ PLATEAU_SLACK = 1e-9
 RESIDUAL_FACTOR = 1e-10
 REFERENCE_CAP = 2 ** 20
 REFERENCE_TOL = 1e-12
+SECTION_SITES_CAP = 2 ** 24  # sites summed over every section of one run
 SETTLE_ROWS = 5
 
 
@@ -103,13 +104,23 @@ class SectionScheme:
 
     def sections(self, count):
         """Up to count sections; ValueError on a cutoff past REFERENCE_CAP,
-        read off the last (widest) section before any other is built."""
+        read off the last (widest) section before any other is built, and
+        as soon as the sections built hold more than SECTION_SITES_CAP
+        sites in all."""
         for seq in (self.right, self.left):
             if seq is not None and seq.count_limit() is not None:
                 count = min(count, seq.count_limit())
         if count > 0 and max(map(abs, self.section(count - 1))) > REFERENCE_CAP:
             raise ValueError("a cutoff exceeds the cap %d" % REFERENCE_CAP)
-        out = [self.section(n) for n in range(count)]
+        out = []
+        sites = 0
+        for n in range(count):
+            l, r = self.section(n)
+            sites += r - l + 1
+            if sites > SECTION_SITES_CAP:
+                raise ValueError("the sections hold more than %d sites in all"
+                                 % SECTION_SITES_CAP)
+            out.append((l, r))
         for (l0, r0), (l1, r1) in zip(out, out[1:]):
             if not (l1 <= l0 and r1 > r0):
                 raise ValueError("sections must expand monotonically")
@@ -307,13 +318,6 @@ class FsmRow:
     residual: float
     solution_error: object  # float, or None without a reference
 
-    def to_json(self):
-        return {"index": self.index, "l": self.l, "r": self.r,
-                "size": self.size, "singular": self.singular,
-                "sigma_min": self.sigma_min, "inverse_norm": self.inverse_norm,
-                "residual": self.residual,
-                "solution_error": self.solution_error}
-
 
 @dataclass(frozen=True)
 class FsmReport:
@@ -328,7 +332,7 @@ class FsmReport:
     def to_json(self):
         return {"operator": self.operator, "z": float(self.z),
                 "verdict": self.verdict, "reasons": list(self.reasons),
-                "rows": [row.to_json() for row in self.rows],
+                "rows": list(self.rows),
                 "reference_window": None if self.reference is None
                 else list(self.reference.window),
                 "reference_failure": self.reference_failure}
@@ -440,6 +444,8 @@ def stability_scan(p, z, sizes, operator="half_line", period=1):
     1e-13 are excluded as float noise); slopes beyond 1e-3 per step mean
     geometric decay, slopes within the threshold mean bounded below.
     """
+    if operator not in ("full_line", "half_line"):
+        raise ValueError("operator must be full_line or half_line")
     sizes = tuple(sorted(set(int(s) for s in sizes)))
     if len(sizes) < 4:
         raise ValueError("need at least 4 sizes for a fit")

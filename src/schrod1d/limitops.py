@@ -152,11 +152,13 @@ def is_fredholm(p, z, operator="full_line"):
     zf = _to_fraction(z)
     lw, rw, _, _ = _side_words(p)
     sides = {"right": rw} if operator == "half_line" else {"left": lw, "right": rw}
+    values = {w: discriminant(periodic(w)).value(zf)
+              for w in set(sides.values())}
     pos = {}
     witness = None
     edge = False
     for s, w in sides.items():
-        val = discriminant(periodic(w)).value(zf)
+        val = values[w]
         if abs(val) < 2:
             pos[s] = "band"
             witness = witness or s
@@ -228,7 +230,6 @@ def halfline_invertible(p, z):
 
 @dataclass(frozen=True)
 class ConditionResult:
-    key: str
     holds: object  # True | False | None (undetermined)
     summary: str
     items: tuple  # per-rotation (residue, InvertibilityResult) or scan data
@@ -245,7 +246,7 @@ class ApplicabilityReport:
         return tuple(k for k, c in self.conditions.items() if c.holds is False)
 
 
-def _rotation_condition(key, word, z, compress, integer_certificates):
+def _rotation_condition(word, z, compress, integer_certificates):
     """Test all rotations of `word` under the one-sided compression.
 
     compress = "plus" tests the word as written on [0, inf); "minus" tests
@@ -270,8 +271,7 @@ def _rotation_condition(key, word, z, compress, integer_certificates):
     holds = not bad
     summary = ("all %d rotations invertible" % q) if holds else \
         ("rotation failures: %s" % ", ".join("r=%d %s" % b for b in bad))
-    return ConditionResult(key=key, holds=holds, summary=summary,
-                           items=tuple(items))
+    return ConditionResult(holds=holds, summary=summary, items=tuple(items))
 
 
 def _decaying_direction(m, side):
@@ -339,24 +339,23 @@ def _full_line_invertible_condition(p, z):
     fred = is_fredholm(p, z, "full_line")
     if not fred.fredholm:
         return ConditionResult(
-            key="a", holds=False,
+            holds=False,
             summary="z in the essential spectrum (side %s, %s)"
                     % (fred.witness_side, fred.side_position[fred.witness_side]),
             items=(fred,))
     if isinstance(p, PeriodicPotential):
         # periodic full-line spectrum is purely essential
-        return ConditionResult(key="a", holds=True,
-                               summary="periodic: gap point, exact",
+        return ConditionResult(holds=True, summary="periodic: gap point, exact",
                                items=(fred,))
     scan = full_line_kernel_scan(p, z)
     if scan["matching_det"] < KERNEL_SUSPECT_TOL:
         return ConditionResult(
-            key="a", holds=None,
+            holds=None,
             summary="kernel suspected: matching determinant %.3e < %g"
                     % (scan["matching_det"], KERNEL_SUSPECT_TOL),
             items=(fred, scan))
     return ConditionResult(
-        key="a", holds=True,
+        holds=True,
         summary="Fredholm and no kernel (matching determinant %.3e)"
                 % scan["matching_det"],
         items=(fred, scan))
@@ -366,7 +365,7 @@ def _half_line_invertible_condition(p, z):
     res = halfline_invertible(p, z)
     summary = ("half-line operator invertible, exact" if res.invertible
                else "half-line operator not invertible: %s" % res.status)
-    return ConditionResult(key="d", holds=res.invertible, summary=summary,
+    return ConditionResult(holds=res.invertible, summary=summary,
                            items=(res,))
 
 
@@ -388,11 +387,11 @@ def fsm_applicability(p, z=0, operator="full_line"):
     conds = {}
     if operator == "full_line":
         conds["a"] = _full_line_invertible_condition(p, zf)
-        conds["b"] = _rotation_condition("b", rw, zf, "plus", integer_certs)
-        conds["c"] = _rotation_condition("c", lw, zf, "minus", integer_certs)
+        conds["b"] = _rotation_condition(rw, zf, "plus", integer_certs)
+        conds["c"] = _rotation_condition(lw, zf, "minus", integer_certs)
     else:
         conds["d"] = _half_line_invertible_condition(p, zf)
-        conds["e"] = _rotation_condition("e", rw, zf, "minus", integer_certs)
+        conds["e"] = _rotation_condition(rw, zf, "minus", integer_certs)
     if any(c.holds is False for c in conds.values()):
         applicable = False
     elif any(c.holds is None for c in conds.values()):

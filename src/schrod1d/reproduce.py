@@ -30,9 +30,6 @@ class Check:
     passed: bool
     detail: str
 
-    def to_json(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class Reproduction:
@@ -40,11 +37,6 @@ class Reproduction:
     passed: bool
     checks: tuple
     data: dict
-
-    def to_json(self):
-        return {"name": self.name, "passed": self.passed,
-                "checks": [c.to_json() for c in self.checks],
-                "data": self.data}
 
 
 def _finish(name, checks, data):
@@ -241,14 +233,13 @@ def fibonacci_prefix(length=10000):
     checks.append(Check(
         "values_binary", set(word) == {0, 1},
         "value set %s" % sorted(set(word))))
-    v1 = validate_ring(RingSpec(1))
+    rings = {n: validate_ring(RingSpec(n)) for n in range(1, 9)}
+    v1, v4, v5 = rings[1], rings[4], rings[5]
     checks.append(Check(
         "ring_integers", v1.valid, "order 1 (integer grid): %s" % v1.reason))
-    v4 = validate_ring(RingSpec(4))
     checks.append(Check(
         "ring_gaussian_integers", v4.valid,
         "order 4 (square grid): %s" % v4.reason))
-    v5 = validate_ring(RingSpec(5))
     checks.append(Check(
         "ring_five_rejected", (not v5.valid) and v5.witness is not None,
         "order 5 rejected: %s (witness modulus %.6f)"
@@ -256,8 +247,7 @@ def fibonacci_prefix(length=10000):
     data = {
         "length": length,
         "prefix": word[:10],
-        "ring_orders_valid": [n for n in range(1, 9)
-                              if validate_ring(RingSpec(n)).valid],
+        "ring_orders_valid": [n for n, v in rings.items() if v.valid],
     }
     return _finish("fibonacci-prefix", checks, data)
 

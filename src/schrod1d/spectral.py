@@ -228,14 +228,14 @@ class CrossValidationError(AssertionError):
     """Exact Dirichlet eigenvalue not seen by large truncations."""
 
 
-def dirichlet_eigenvalues(p, cross_validate=True):
+def dirichlet_eigenvalues(p):
     """Point spectrum of the Dirichlet half-line compression, exact.
 
     Roots of m12 are isolated over Q; each is kept iff |m22| < 1 there,
     decided by a Tarski query on m22^2 - 1. Where m12 = 0, det M = 1 gives
     m11 m22 = 1 and disc^2 - 4 = (m22 - 1/m22)^2, so a root of gcd(m12,
-    m22^2 - 1) is a band edge and is rejected. Optionally cross-validates
-    every eigenvalue against LAPACK truncation spectra at sizes >= 60 * period.
+    m22^2 - 1) is a band edge and is rejected. Every eigenvalue is
+    cross-validated against LAPACK truncation spectra at sizes >= 60 * period.
     """
     if not isinstance(p, PeriodicPotential):
         raise TypeError("dirichlet_eigenvalues needs a periodic potential")
@@ -274,7 +274,7 @@ def dirichlet_eigenvalues(p, cross_validate=True):
     warnings = ["multiple Dirichlet eigenvalues share gap %r" % (key,)
                 for key, cnt in per_gap.items() if cnt > 1]
 
-    if cross_validate and eigs:
+    if eigs:
         for size in (60 * p.period, 240 * p.period, 960 * p.period):
             spec = truncation_spectrum(p, size)
             bad = [e for e in eigs

@@ -139,7 +139,6 @@ class DirichletOrbit:
     integer_valued: bool
     growth: str  # "growth" | "decay" | "bounded"
     slope_per_step: float
-    float_overflow: bool
 
     @property
     def start(self):
@@ -161,16 +160,10 @@ def dirichlet_orbit(p, z, length):
     regime = compute_regime(p, z)
     zc = coerce(z, regime)
     xs = [coerce(0, regime), coerce(1, regime)]
-    overflow = False
     for n in range(length):
-        nxt = (zc - coerce(p.value(n), regime)) * xs[-1] - xs[-2]
-        xs.append(nxt)
-        if regime == FLOAT:
-            if abs(nxt) > 1e300 or math.isinf(nxt):
-                overflow = True
-        else:
-            assert not (xs[-1] == 0 and xs[-2] == 0), \
-                "consecutive orbit zeros are impossible for det-1 transfers"
+        xs.append((zc - coerce(p.value(n), regime)) * xs[-1] - xs[-2])
+        assert regime == FLOAT or not (xs[-1] == 0 and xs[-2] == 0), \
+            "consecutive orbit zeros are impossible for det-1 transfers"
 
     integer_valued = False
     if regime == INTEGER:
@@ -197,8 +190,7 @@ def dirichlet_orbit(p, z, length):
         z=zc, regime=regime, values=tuple(xs),
         all_in_ring=regime != FLOAT,
         integer_valued=integer_valued,
-        growth=growth, slope_per_step=slope,
-        float_overflow=overflow)
+        growth=growth, slope_per_step=slope)
 
 
 def finite_section_determinant(p, z, l, r):
@@ -239,18 +231,18 @@ class Discriminant:
                            for c in self.coeffs]}
 
 
-def symbolic_monodromy(p, start=0):
+def symbolic_monodromy(p):
     """One-period transfer with polynomial entries in z, exact over Q.
 
     Returns (m11, m12, m21, m22) as Fraction coefficient tuples, for the
-    product T_z(start + period - 1) ... T_z(start).
+    product T_z(period - 1) ... T_z(0).
     """
     if not isinstance(p, PeriodicPotential):
         raise TypeError("symbolic monodromy needs a periodic potential")
     if p.regime not in (INTEGER, RATIONAL):
         raise RegimeError("symbolic monodromy needs an exact rational regime")
     m11, m12, m21, m22 = pl.ONE, pl.ZERO, pl.ZERO, pl.ONE
-    for n in range(start, start + p.period):
+    for n in range(p.period):
         t22 = pl.poly([-Fraction(p.value(n)), 1])  # z - v(n)
         # [[0,1],[-1,t22]] @ [[m11,m12],[m21,m22]]
         n11, n12 = m21, m22

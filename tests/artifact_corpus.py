@@ -1,0 +1,87 @@
+"""Byte-identity corpus: CLI inputs with the digests of what they produce.
+
+artifact_corpus.json lists entries. Each holds a command line (`argv`),
+the config it reads (`config`, absent for `reproduce`), and the outcome
+recorded from a known-good build: the exit code, the sha256 of stdout
+and the sha256 of every file the command writes to its output directory.
+The inputs are written out in the file, so a change to an input generator
+cannot change what the corpus checks.
+
+The corpus covers the `band-structure` words of seeds 1-3, rounds 0-2 and
+the `fsm` configs of seed 1, round 0 of `fsm-large` (see bench/workloads.py),
+and the four reproductions. `bands` and `reproduce fibonacci-prefix`
+outputs depend on exact arithmetic only; the `fsm` entries and the other
+reproductions also hold LAPACK floats, so their digests are those of one
+numpy/scipy build (numpy 2.4, scipy 1.17 on x86-64).
+
+tests/test_artifact_corpus.py runs a fixed slice; run every entry with
+
+    PYTHONPATH=src python tests/artifact_corpus.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from schrod1d import cli
+
+CORPUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "artifact_corpus.json")
+
+
+def load():
+    with open(CORPUS_PATH, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_entry(entry):
+    """(exit code, stdout digest, {file name: digest}) of one run of the
+    entry's command, in-process through cli.main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = list(entry["argv"]) + ["--out", out]
+        if "config" in entry:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="ascii") as fh:
+                json.dump(entry["config"], fh)
+            argv += ["--config", path]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        artifacts = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                artifacts[name] = _sha256(fh.read())
+    return code, _sha256(stdout.getvalue().encode()), artifacts
+
+
+def check_entry(entry):
+    """AssertionError naming the entry unless a run reproduces its record."""
+    expected = entry["exit"], entry["stdout"], entry["artifacts"]
+    assert run_entry(entry) == expected, "%s: outputs differ" % entry["name"]
+
+
+def main():
+    entries = load()
+    failed = 0
+    for entry in entries:
+        try:
+            check_entry(entry)
+        except AssertionError as exc:
+            failed += 1
+            print("FAIL %s" % exc)
+    print("%d of %d corpus entries reproduced"
+          % (len(entries) - failed, len(entries)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -151,9 +151,9 @@ def _compression_points(word):
     """
     out = []
     for w in (list(word), list(word)[::-1]):
-        q = pot.periodic(w)
         for k in range(len(w)):
-            _, m12, _, m22 = tr.symbolic_monodromy(q, start=k)
+            rotated = w[k:] + w[:k]
+            _, m12, _, m22 = tr.symbolic_monodromy(pot.periodic(rotated))
             c12 = [float(c) for c in m12]
             if len(c12) < 2:
                 continue
@@ -162,7 +162,7 @@ def _compression_points(word):
                     continue
                 mu = float(root.real)
                 if abs(np.polyval([float(c) for c in m22][::-1], mu)) < 1:
-                    out.append((abs(mu), w[k:] + w[:k]))
+                    out.append((abs(mu), rotated))
     return out
 
 
@@ -178,7 +178,7 @@ def _certified_witness(points, dist):
     if not points:
         return None, "no compression point at all"
     oracle, rotated = min(points)
-    ds = sp.dirichlet_eigenvalues(pot.periodic(rotated), cross_validate=False)
+    ds = sp.dirichlet_eigenvalues(pot.periodic(rotated))
     matches = [e for e in ds.eigenvalues
                if abs(abs(e.approx) - oracle) <= 1e-10]
     if not matches:

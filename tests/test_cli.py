@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,17 @@ def test_reproduce_integer_avoidance_small(tmp_path, capsys):
     assert doc["data"]["violations"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["example-4-2", "--seed", "5", "--count", "3"],
+                 id="flags-of-integer-avoidance"),
+    pytest.param(["integer-avoidance", "--count", "0"], id="count-0"),
+    pytest.param(["integer-avoidance", "--count", "-4"], id="count-negative"),
+])
+def test_reproduce_misused_flags_are_usage_errors(tmp_path, argv):
+    out = str(tmp_path / "out")
+    _assert_usage_error(out, *_run_main(["reproduce"] + argv + ["--out", out]))
+
+
 def test_reproduce_unknown_name():
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "nope"])
@@ -188,6 +200,22 @@ def test_usage_error_on_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def _run_main(argv):
+    """(exit code, stderr lines) of cli.main, run in-process; an exception
+    out of main, which would be a traceback, fails the calling test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+def _assert_usage_error(out, rc, lines):
+    assert rc == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert not os.path.exists(out)
 
 
 def _fsm_doc(**extra):
@@ -305,18 +333,33 @@ MALFORMED = [
 @pytest.mark.parametrize("command,doc", MALFORMED)
 def test_malformed_config_is_a_usage_error(tmp_path, command, doc):
     cfg = write_cfg(tmp_path, "c.json", doc)
+    out = str(tmp_path / "out")
+    _assert_usage_error(out, *_run_main([command, "--config", cfg,
+                                         "--out", out]))
+
+
+def test_module_entry_point_exits_with_the_usage_error(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", _fsm_doc(count="abc"))
+    out = str(tmp_path / "out")
     src = os.path.dirname(os.path.dirname(schrod1d.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "schrod1d.cli", command, "--config", cfg,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-    assert not (tmp_path / "out").exists() or \
-        not os.listdir(tmp_path / "out")
+        [sys.executable, "-m", "schrod1d.cli", "fsm", "--config", cfg,
+         "--out", out],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    _assert_usage_error(out, proc.returncode, proc.stderr.splitlines())
+
+
+def test_sections_past_the_sites_cap_are_refused_at_once(tmp_path):
+    # 2^20 sections [0, 1], [0, 2], ...: about 5.5e11 sites in all
+    cfg = write_cfg(tmp_path, "c.json",
+                    dict(_cutoff_doc(start=1, step=1), count=2 ** 20))
+    out = str(tmp_path / "out")
+    t0 = time.perf_counter()
+    rc, lines = _run_main(["fsm", "--config", cfg, "--out", out])
+    assert time.perf_counter() - t0 < 1.0
+    _assert_usage_error(out, rc, lines)
+    assert "sites" in lines[0]
 
 
 # Mutations of well-formed configs. Every potential keeps |v(n) - z| >= 5/2
@@ -454,13 +497,8 @@ def test_mutated_configs_keep_the_exit_code_contract(case):
         with open(cfg, "w") as fh:
             json.dump(doc, fh)
         out = os.path.join(tmp, "out")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            rc = cli.main([command, "--config", cfg, "--out", out])
+        rc, lines = _run_main([command, "--config", cfg, "--out", out])
         made = os.path.exists(out)
-    # an exception out of main would be a traceback: the test fails on it
-    lines = err.getvalue().splitlines()
     assert rc in ((0, 1, 3) if expected == "well-formed" else
                   (2,) if expected == "malformed" else (0, 1, 2, 3)), lines
     if rc == 2:

@@ -81,6 +81,20 @@ def test_sections_past_the_cap_are_refused_before_any_is_built(monkeypatch):
     assert built == [10 ** 6 - 1]
 
 
+def test_sections_past_the_sites_cap_are_refused_as_they_are_built(
+        monkeypatch):
+    built = []
+    section = fsm.SectionScheme.section
+    monkeypatch.setattr(fsm.SectionScheme, "section",
+                        lambda self, n: built.append(n) or section(self, n))
+    scheme = fsm.SectionScheme(operator="half_line",
+                               right=fsm.CutoffSequence.arithmetic(1, 1))
+    with pytest.raises(ValueError, match="sites"):
+        scheme.sections(2 ** 20)
+    sizes = [n + 2 for n in built[1:]]  # section n is [0, n + 1]
+    assert sum(sizes[:-1]) <= fsm.SECTION_SITES_CAP < sum(sizes)
+
+
 def test_grid_vector():
     v = fsm.GridVector.from_array(-2, [1.0, 2.0, 3.0])
     assert v.stop == 1
@@ -195,6 +209,12 @@ def test_stability_scan_decay():
 def test_stability_scan_needs_sizes():
     with pytest.raises(ValueError):
         fsm.stability_scan(pot.periodic([4]), 0, sizes=(4, 8, 12))
+
+
+def test_stability_scan_rejects_unknown_operator():
+    with pytest.raises(ValueError, match="operator must be"):
+        fsm.stability_scan(pot.periodic([4]), 0, sizes=(4, 8, 12, 16),
+                           operator="bogus")
 
 
 def test_report_json_round_trip():
