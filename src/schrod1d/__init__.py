@@ -22,9 +22,8 @@ from .prng import CounterRng, counter_value, splitmix64
 from .rings import RingSpec, RingValidation, validate_ring
 from .scalars import (FLOAT, GAUSSIAN, INTEGER, RATIONAL, GaussianInteger,
                       RegimeError, coerce, join_regimes, regime_of)
-from .spectral import (BandSet, DirichletSpectrum, PollutionReport,
-                       SpectralStructureError, bands, dirichlet_eigenvalues,
-                       pollution_report, smallest_singular_value,
+from .spectral import (BandSet, DirichletSpectrum, SpectralStructureError,
+                       bands, dirichlet_eigenvalues, smallest_singular_value,
                        truncation_spectrum)
 from .transfer import (Discriminant, DirichletOrbit, TransferMatrix,
                        dirichlet_orbit, discriminant,
@@ -41,7 +40,7 @@ __all__ = [
     "EssentialSpectrum", "EventuallyPeriodicPotential", "ExplicitPotential",
     "FLOAT", "FredholmResult", "FsmReport", "GAUSSIAN", "GaussianInteger",
     "GridVector", "INTEGER", "LimitOperator", "PeriodicPotential",
-    "PollutionReport", "RATIONAL", "REPRODUCTIONS", "RandomPotential",
+    "RATIONAL", "REPRODUCTIONS", "RandomPotential",
     "ReferenceInconclusive", "RegimeError", "RingSpec", "RingValidation",
     "SectionScheme", "SectionSingularError", "SpectralStructureError",
     "SturmianPotential", "TransferMatrix", "bands", "coerce", "counter_value",
@@ -50,7 +49,7 @@ __all__ = [
     "fibonacci_value", "finite_section_determinant", "fsm_applicability",
     "full_line_kernel_scan", "halfline_invertible", "is_fredholm",
     "join_regimes", "limit_operators", "monodromy",
-    "monodromy_dirichlet_test", "periodic", "pollution_report",
+    "monodromy_dirichlet_test", "periodic",
     "potential_from_json", "random_values", "reference_solution", "reflect",
     "regime_of", "run_fsm", "run_reproduction", "shift",
     "smallest_singular_value", "solve_section", "stability_scan", "sturmian",

@@ -268,6 +268,7 @@ def integer_avoidance(seed=1, count=1000):
     points = 0
     gap_points = 0
     m12_zero = 0
+    not_unimodular = 0
     violations = []
     for i in range(count):
         p = random_integer_potential(seed, i)
@@ -279,6 +280,7 @@ def integer_avoidance(seed=1, count=1000):
             if res.m12 == 0:
                 m12_zero += 1
                 if abs(res.m22) != 1:
+                    not_unimodular += 1
                     violations.append((word, z, "m12 = 0 with |m22| != 1"))
             if abs(res.trace) > 2:
                 gap_points += 1
@@ -294,9 +296,14 @@ def integer_avoidance(seed=1, count=1000):
     checks.append(Check(
         "gap_points_seen", gap_points > 0,
         "%d sweep points, %d in gaps" % (points, gap_points)))
-    checks.append(Check(
-        "unimodular_certificates", m12_zero > 0,
-        "m12 = 0 certified |m22| = 1 at %d points" % m12_zero))
+    if not m12_zero:
+        detail = "no sweep point has m12 = 0"
+    elif not_unimodular:
+        detail = "m12 = 0 with |m22| != 1 at %d of %d points" % (
+            not_unimodular, m12_zero)
+    else:
+        detail = "m12 = 0 certified |m22| = 1 at %d points" % m12_zero
+    checks.append(Check("unimodular_certificates", not not_unimodular, detail))
     data = {"seed": seed, "count": count, "points": points,
             "gap_points": gap_points, "m12_zero_points": m12_zero,
             "violations": len(violations)}

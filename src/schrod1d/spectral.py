@@ -7,8 +7,10 @@ condition adds at most one eigenvalue per spectral gap, located exactly by
 m12(z) = 0 together with |m22(z)| < 1 for the one-period transfer aligned at
 the cut. The exact side uses Sturm chains (integer pseudo-remainder
 sequences), and the sign of m22 at a root of m12 is a Tarski query
-(Sylvester's theorem); the floating-point side wraps LAPACK's bisection
-eigensolver for symmetric tridiagonal sections.
+(Sylvester's theorem). The floating-point side uses LAPACK on symmetric
+tridiagonal sections: whole truncation spectra by the root-free QL/QR
+algorithm (sterf), and the two eigenvalues next to a point by bisection with
+index selection (stebz).
 """
 
 import math
@@ -296,14 +298,18 @@ def _tridiag_data(p, l, r):
 
 
 def truncation_spectrum(p, size):
-    """Eigenvalues of the size x size section of H on [0, size), via LAPACK
-    bisection (stebz); ascending numpy array."""
+    """Eigenvalues of the size x size section of H on [0, size), ascending.
+
+    LAPACK's root-free QL/QR iteration (sterf, Pal-Walker-Kahan) finds the
+    whole spectrum in O(size^2) flops with absolute error about
+    eps * ||section||, the accuracy of bisection at a fraction of its cost.
+    """
     if size < 1:
         raise ValueError("section size must be positive")
     d, e = _tridiag_data(p, 0, size - 1)
     if size == 1:
         return d.copy()
-    return np.sort(eigvalsh_tridiagonal(d, e, lapack_driver='stebz'))
+    return eigvalsh_tridiagonal(d, e, lapack_driver='sterf')
 
 
 def _count_below(d, z):
@@ -340,72 +346,3 @@ def smallest_singular_value(p, size, z, start=0):
                               select_range=(idx[0], idx[-1]),
                               lapack_driver='stebz')
     return float(np.min(np.abs(ev - zf)))
-
-
-IN_GAP_MARGIN = 1e-8
-CLUSTER_WIDTH = 1e-4
-
-
-@dataclass(frozen=True)
-class PollutionCluster:
-    center: float
-    location: str
-    gap_index: object
-    hits: int  # number of section sizes where the cluster appears
-    values: tuple
-
-
-@dataclass(frozen=True)
-class PollutionReport:
-    sizes: tuple
-    band_set: object
-    in_gap_counts: dict  # size -> number of in-gap eigenvalues
-    clusters: tuple  # persistent clusters only
-    per_gap_counts: dict  # (location, index) -> persistent cluster count
-
-
-def pollution_report(p, sizes):
-    """Track truncation eigenvalues that fall inside spectral gaps.
-
-    For each section size, eigenvalues at distance > 1e-8 from the band
-    union are collected; values across sizes are clustered at width 1e-4 and
-    a cluster is reported when it persists in at least max(2, len(sizes)//2)
-    sizes. True Dirichlet eigenvalues of half-line compressions show up as
-    persistent clusters; spectral pollution drifts with the size.
-    """
-    bs = bands(discriminant(p))
-    sizes = tuple(sorted(set(int(s) for s in sizes)))
-    if not sizes:
-        raise ValueError("need at least one section size")
-    in_gap = {}
-    samples = []  # (value, size)
-    for size in sizes:
-        spec = truncation_spectrum(p, size)
-        hits = [float(v) for v in spec
-                if bs.distance_to_spectrum(float(v)) > IN_GAP_MARGIN]
-        in_gap[size] = len(hits)
-        samples.extend((v, size) for v in hits)
-    samples.sort()
-    clusters = []
-    i = 0
-    while i < len(samples):
-        j = i
-        while j + 1 < len(samples) and samples[j + 1][0] - samples[j][0] <= CLUSTER_WIDTH:
-            j += 1
-        vals = [v for v, _ in samples[i:j + 1]]
-        sz = {s for _, s in samples[i:j + 1]}
-        center = sum(vals) / len(vals)
-        loc = bs.locate(center)
-        location = loc["kind"] if loc["kind"] in ("below", "above") else "gap"
-        clusters.append(PollutionCluster(
-            center=center, location=location, gap_index=loc["index"],
-            hits=len(sz), values=tuple(vals)))
-        i = j + 1
-    need = max(2, len(sizes) // 2)
-    persistent = tuple(c for c in clusters if c.hits >= need)
-    per_gap = {}
-    for c in persistent:
-        key = (c.location, c.gap_index)
-        per_gap[key] = per_gap.get(key, 0) + 1
-    return PollutionReport(sizes=sizes, band_set=bs, in_gap_counts=in_gap,
-                           clusters=persistent, per_gap_counts=per_gap)

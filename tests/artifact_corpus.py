@@ -12,7 +12,8 @@ the `fsm` configs of seed 1, round 0 of `fsm-large` (see bench/workloads.py),
 and the four reproductions. `bands` and `reproduce fibonacci-prefix`
 outputs depend on exact arithmetic only; the `fsm` entries and the other
 reproductions also hold LAPACK floats, so their digests are those of one
-numpy/scipy build (numpy 2.4, scipy 1.17 on x86-64).
+numpy/scipy build: numpy 2.4.6 and scipy 1.17.1 on x86-64, the versions the
+`tests` job of .github/workflows/tests.yml installs.
 
 tests/test_artifact_corpus.py runs a fixed slice; run every entry with
 

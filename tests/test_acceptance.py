@@ -124,6 +124,8 @@ def test_criterion_3_integer_gap_sweep():
     rep = run_reproduction("integer-avoidance", seed=1, count=count)
     if not (rep.passed and rep.data["violations"] == 0):
         failures.append("packaged sweep disagrees: %r" % rep.data)
+    if rep.data["m12_zero_points"] == 0:
+        failures.append("packaged sweep met no m12 = 0 point")
     elapsed = time.perf_counter() - t0
     _finish(3, failures,
             "%d integer words, %d gap points, %d with vanishing corner "

@@ -179,6 +179,17 @@ def test_reproduce_integer_avoidance_small(tmp_path, capsys):
     assert doc["data"]["violations"] == 0
 
 
+def test_reproduce_integer_avoidance_without_m12_zero_points(tmp_path, capsys):
+    # a sweep too small to meet m12 = 0 has nothing to certify and passes
+    rc = cli.main(["reproduce", "integer-avoidance", "--out", str(tmp_path),
+                   "--seed", "-1", "--count", "2"])
+    assert rc == 0
+    assert "[PASS] unimodular_certificates: no sweep point has m12 = 0" \
+        in capsys.readouterr().out
+    doc = json.loads((tmp_path / "integer-avoidance.json").read_text())
+    assert doc["data"]["m12_zero_points"] == 0
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["example-4-2", "--seed", "5", "--count", "3"],
                  id="flags-of-integer-avoidance"),

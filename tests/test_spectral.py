@@ -105,6 +105,23 @@ def test_truncation_matches_closed_form():
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
+@given(st.lists(st.one_of(st.integers(min_value=-6, max_value=6),
+                          st.fractions(min_value=-6, max_value=6,
+                                       max_denominator=7)),
+                min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=200))
+@settings(max_examples=60, deadline=None)
+def test_truncation_matches_dense_eigvalsh(word, size):
+    p = pot.periodic(word)
+    d = p.array(0, size - 1)
+    dense = np.diag(d) + np.diag(np.ones(size - 1), 1) \
+        + np.diag(np.ones(size - 1), -1)
+    got = sp.truncation_spectrum(p, size)
+    assert got.shape == (size,)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(d))) + 2)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(dense))) <= tol
+
+
 @given(int_words, st.integers(min_value=2, max_value=30))
 @settings(max_examples=40, deadline=None)
 def test_truncation_interlacing(word, m):
@@ -171,6 +188,21 @@ def test_boundary_roots_of_m12_from_m22(word):
     via_m22 = pl.pgcd(m12, pl.psub(pl.pmul(m22, m22), one))
     via_disc = pl.pgcd(m12, pl.psub(pl.pmul(d, d), four))
     assert pl.square_free(via_m22) == pl.square_free(via_disc)
+
+
+@pytest.mark.parametrize("shift,raises", [(1e-5, True), (1e-8, False)])
+def test_cross_check_catches_shifted_spectra(monkeypatch, shift, raises):
+    # every truncation spectrum moved off by more than the 1e-6 match rule
+    # must fail the cross-check; a shift well inside it must not
+    true_spectrum = sp.truncation_spectrum
+    monkeypatch.setattr(sp, "truncation_spectrum",
+                        lambda p, size: true_spectrum(p, size) + shift)
+    p = pot.periodic([F(1, 2), 2, F(1, 2)])
+    if raises:
+        with pytest.raises(sp.CrossValidationError):
+            sp.dirichlet_eigenvalues(p)
+    else:
+        assert len(sp.dirichlet_eigenvalues(p).eigenvalues) == 1
 
 
 def test_dirichlet_needs_periodic():
@@ -254,29 +286,11 @@ def test_sigma_min_closed_form():
                    - constant4_sigma_min(m)) < 1e-10
 
 
-def test_pollution_persistent_cluster():
-    p = pot.periodic([F(1, 2), 2, F(1, 2)])
-    rep = sp.pollution_report(p, sizes=(60, 90, 120, 150))
-    centers = [c.center for c in rep.clusters]
-    assert any(abs(c) < 1e-6 for c in centers), centers
-    hit = [c for c in rep.clusters if abs(c.center) < 1e-6][0]
-    assert hit.location == "gap" and hit.hits == 4
-    assert rep.per_gap_counts[("gap", 0)] >= 1
-
-
-def test_pollution_absent_for_constant():
-    rep = sp.pollution_report(pot.periodic([4]), sizes=(40, 60, 80))
-    assert rep.clusters == ()
-    assert all(v == 0 for v in rep.in_gap_counts.values())
-
-
 def test_truncation_input_checks():
     with pytest.raises(ValueError):
         sp.truncation_spectrum(pot.periodic([1]), 0)
     with pytest.raises(ValueError):
         sp.smallest_singular_value(pot.periodic([1]), 0, 0.0)
-    with pytest.raises(ValueError):
-        sp.pollution_report(pot.periodic([1]), sizes=())
 
 
 def test_band_set_json_shape():
