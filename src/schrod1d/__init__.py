@@ -18,10 +18,10 @@ from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
                         eventually_periodic, explicit, fibonacci_value,
                         periodic, potential_from_json, random_values, reflect,
                         shift, sturmian)
-from .prng import CounterRng, counter_value, splitmix64
+from .prng import CounterRng, counter_value
 from .rings import RingSpec, RingValidation, validate_ring
-from .scalars import (FLOAT, GAUSSIAN, INTEGER, RATIONAL, GaussianInteger,
-                      RegimeError, coerce, join_regimes, regime_of)
+from .scalars import (FLOAT, INTEGER, RATIONAL, RegimeError, coerce,
+                      join_regimes, regime_of)
 from .spectral import (BandSet, DirichletSpectrum, SpectralStructureError,
                        bands, dirichlet_eigenvalues, smallest_singular_value,
                        truncation_spectrum)
@@ -38,9 +38,9 @@ __all__ = [
     "ApplicabilityReport", "BandSet", "CounterRng", "CutoffSequence",
     "DirichletOrbit", "DirichletSpectrum", "Discriminant",
     "EssentialSpectrum", "EventuallyPeriodicPotential", "ExplicitPotential",
-    "FLOAT", "FredholmResult", "FsmReport", "GAUSSIAN", "GaussianInteger",
-    "GridVector", "INTEGER", "LimitOperator", "PeriodicPotential",
-    "RATIONAL", "REPRODUCTIONS", "RandomPotential",
+    "FLOAT", "FredholmResult", "FsmReport", "GridVector", "INTEGER",
+    "LimitOperator", "PeriodicPotential", "RATIONAL", "REPRODUCTIONS",
+    "RandomPotential",
     "ReferenceInconclusive", "RegimeError", "RingSpec", "RingValidation",
     "SectionScheme", "SectionSingularError", "SpectralStructureError",
     "SturmianPotential", "TransferMatrix", "bands", "coerce", "counter_value",

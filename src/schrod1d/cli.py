@@ -20,8 +20,7 @@ from . import jsonio
 from .fsm import CutoffSequence, GridVector, SectionScheme, run_fsm
 from .potential import PeriodicPotential, potential_from_json
 from .reproduce import REPRODUCTIONS, run_reproduction
-from .scalars import (GAUSSIAN, INTEGER, RATIONAL, _require_int,
-                      decode_scalar_any, regime_of)
+from .scalars import INTEGER, RATIONAL, _require_int, decode_scalar_any
 from .spectral import (CrossValidationError, SpectralStructureError,
                        dirichlet_eigenvalues)
 from .transfer import monodromy_dirichlet_test
@@ -134,12 +133,7 @@ def _read_config(path, command):
             list(map(float, p.word))  # the cross-check runs in floats
             inputs = p
         else:
-            if p.regime == GAUSSIAN:
-                raise ValueError("fsm needs a real potential, got %s"
-                                 % p.regime)
             z = decode_scalar_any(cfg.get("z", 0))
-            if regime_of(z) == GAUSSIAN:
-                raise ValueError("z must be a number or a 'p/q' string")
             scheme = _scheme(cfg.get("scheme"))
             rhs = _rhs(cfg.get("rhs"))
             count = _int_field(cfg, "count", 12, "count")

@@ -23,7 +23,6 @@ from scipy.linalg import solve_banded
 
 from .scalars import _require_int
 from .spectral import _tridiag_data, smallest_singular_value
-from .transfer import _least_squares_slope
 
 DIVERGENCE_NORM = 1e8
 ERROR_TARGET = 1e-8
@@ -435,6 +434,15 @@ class StabilityScan:
                 "classification": self.classification,
                 "slope_per_step": self.slope_per_step,
                 "ratio_per_period": self.ratio_per_period}
+
+
+def _least_squares_slope(pts):
+    """Least-squares slope of y against x over (x, y) points with at least
+    two distinct x."""
+    x_mean = sum(x for x, _ in pts) / len(pts)
+    y_mean = sum(y for _, y in pts) / len(pts)
+    den = sum((x - x_mean) ** 2 for x, _ in pts)
+    return sum((x - x_mean) * (y - y_mean) for x, y in pts) / den
 
 
 def stability_scan(p, z, sizes, operator="half_line", period=1):

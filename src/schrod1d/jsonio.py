@@ -15,8 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianInteger
-
 
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -25,8 +23,6 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, GaussianInteger):
-        return [obj.re, obj.im]
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

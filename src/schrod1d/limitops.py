@@ -113,10 +113,6 @@ class EssentialSpectrum:
         return any(abs(bs.disc.value(zf)) <= 2
                    for bs in self.side_bands.values())
 
-    def distance_to(self, z):
-        return min(bs.distance_to_spectrum(z)
-                   for bs in self.side_bands.values())
-
     def to_json(self):
         return {"intervals": [[lo, hi] for lo, hi in self.intervals],
                 "left": self.side_bands["left"].to_json(),
@@ -241,9 +237,6 @@ class ApplicabilityReport:
     z: object
     conditions: dict  # key -> ConditionResult
     applicable: object  # True | False | None
-
-    def failed_keys(self):
-        return tuple(k for k, c in self.conditions.items() if c.holds is False)
 
 
 def _rotation_condition(word, z, compress, integer_certificates):

@@ -83,10 +83,6 @@ class Potential:
     def value(self, n):
         raise NotImplementedError
 
-    def window(self, lo, hi):
-        """Values on the inclusive index range [lo, hi]."""
-        return [self.value(n) for n in range(lo, hi + 1)]
-
     def array(self, lo, hi):
         """float(value(n)) for n in [lo, hi] as one float array."""
         return np.array([float(self.value(n)) for n in range(lo, hi + 1)])

@@ -12,14 +12,13 @@ are computed in the strongest common scalar regime of the potential and the
 spectral parameter and stay exact in the exact regimes.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polynomials as pl
 from .potential import PeriodicPotential
-from .scalars import (FLOAT, GAUSSIAN, INTEGER, RATIONAL, GaussianInteger,
-                      RegimeError, coerce, join_regimes, regime_of)
+from .scalars import (FLOAT, INTEGER, RATIONAL, RegimeError, coerce,
+                      join_regimes, regime_of)
 
 
 @dataclass(frozen=True)
@@ -95,54 +94,12 @@ def monodromy(p, z):
     return transfer_product(p, z, 0, p.period - 1)
 
 
-def _log2_abs(x):
-    """log2 |x| for any scalar, None for zero; big integers stay exact enough."""
-    r = regime_of(x)
-    if r == INTEGER:
-        if x == 0:
-            return None
-        return math.log2(abs(x))
-    if r == RATIONAL:
-        if x == 0:
-            return None
-        return math.log2(abs(x.numerator)) - math.log2(x.denominator)
-    if r == GAUSSIAN:
-        a2 = x.abs2()
-        if a2 == 0:
-            return None
-        return math.log2(a2) / 2
-    if x == 0.0:
-        return None
-    return math.log2(abs(x))
-
-
-def _least_squares_slope(pts):
-    """Least-squares slope of y against x over (x, y) points with at least
-    two distinct x."""
-    x_mean = sum(x for x, _ in pts) / len(pts)
-    y_mean = sum(y for _, y in pts) / len(pts)
-    den = sum((x - x_mean) ** 2 for x, _ in pts)
-    return sum((x - x_mean) * (y - y_mean) for x, y in pts) / den
-
-
-GROWTH_SLOPE_THRESHOLD = 1e-3  # natural-log slope per step
-
-
 @dataclass(frozen=True)
 class DirichletOrbit:
     """Solution of (H - z) x = 0 with x_{-1} = 0, x_0 = 1 on [-1, N]."""
 
     z: object
-    regime: str
     values: tuple  # x_{-1}, x_0, ..., x_N
-    all_in_ring: bool
-    integer_valued: bool
-    growth: str  # "growth" | "decay" | "bounded"
-    slope_per_step: float
-
-    @property
-    def start(self):
-        return -1
 
     def value(self, n):
         return self.values[n + 1]
@@ -152,8 +109,7 @@ def dirichlet_orbit(p, z, length):
     """Propagate the Dirichlet orbit x_{-1} = 0, x_0 = 1 up to x_length.
 
     x_{n+1} = (z - v(n)) x_n - x_{n-1}, computed in the strongest common
-    regime. Reports exact ring membership and a float log-slope growth fit
-    over the trailing quarter of the orbit (threshold 1e-3 per step).
+    regime, so the values are exact in the exact regimes.
     """
     if length < 1:
         raise ValueError("orbit length must be at least 1")
@@ -164,33 +120,7 @@ def dirichlet_orbit(p, z, length):
         xs.append((zc - coerce(p.value(n), regime)) * xs[-1] - xs[-2])
         assert regime == FLOAT or not (xs[-1] == 0 and xs[-2] == 0), \
             "consecutive orbit zeros are impossible for det-1 transfers"
-
-    integer_valued = False
-    if regime == INTEGER:
-        integer_valued = True
-    elif regime == RATIONAL:
-        integer_valued = all(x.denominator == 1 for x in xs)
-    elif regime == GAUSSIAN:
-        integer_valued = all(x.im == 0 for x in xs if isinstance(x, GaussianInteger))
-
-    tail_from = max(2, len(xs) - max(4, len(xs) // 4))
-    pts = [(n, _log2_abs(x)) for n, x in enumerate(xs) if n >= tail_from]
-    pts = [(n, v) for n, v in pts if v is not None]
-    slope = 0.0
-    if len(pts) >= 2:
-        slope = _least_squares_slope(pts) * math.log(2)  # natural log per step
-    if slope > GROWTH_SLOPE_THRESHOLD:
-        growth = "growth"
-    elif slope < -GROWTH_SLOPE_THRESHOLD:
-        growth = "decay"
-    else:
-        growth = "bounded"
-
-    return DirichletOrbit(
-        z=zc, regime=regime, values=tuple(xs),
-        all_in_ring=regime != FLOAT,
-        integer_valued=integer_valued,
-        growth=growth, slope_per_step=slope)
+    return DirichletOrbit(z=zc, values=tuple(xs))
 
 
 def finite_section_determinant(p, z, l, r):

@@ -59,6 +59,11 @@ def bareiss_determinant(rows):
     return Fraction(sign * m[n - 1][n - 1], mult)
 
 
+def window(potential, lo, hi):
+    """Values of a potential on the inclusive index range [lo, hi]."""
+    return [potential.value(n) for n in range(lo, hi + 1)]
+
+
 def dense_section(potential, z, l, r):
     """The [l, r] section of H - z as a dense list-of-lists of Fractions."""
     size = r - l + 1

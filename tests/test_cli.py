@@ -265,6 +265,7 @@ MALFORMED = [
     pytest.param("fsm", dict(_fsm_doc(), **_word([[1, 1], 2],
                                                   regime="gaussian_integer")),
                  id="fsm-gaussian-declared"),
+    pytest.param("fsm", _fsm_doc(z=[1, 1]), id="fsm-z-pair"),
     pytest.param("fsm", dict(_fsm_doc(), **_word([10 ** 400, 1])),
                  id="fsm-huge-int-word"),
     pytest.param("bands", _word(["1/0", 1]), id="bands-zero-denominator"),
@@ -347,6 +348,24 @@ def test_malformed_config_is_a_usage_error(tmp_path, command, doc):
     out = str(tmp_path / "out")
     _assert_usage_error(out, *_run_main([command, "--config", cfg,
                                          "--out", out]))
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("bands", _word([[1, 1], 2]), "cannot decode scalar [1, 1]"),
+    ("fsm", dict(_fsm_doc(), **_word([[1, 1], 2])),
+     "cannot decode scalar [1, 1]"),
+    ("fsm", dict(_fsm_doc(), **_word([[1, 1], 2], regime="gaussian_integer")),
+     "unknown regime 'gaussian_integer'"),
+    ("fsm", _fsm_doc(z=[1, 1]), "cannot decode scalar [1, 1]"),
+])
+def test_complex_scalars_are_refused_by_the_decoder(tmp_path, command, doc,
+                                                    message):
+    # scalars are real: an [re, im] pair or a complex regime has no reading
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    out = str(tmp_path / "out")
+    rc, lines = _run_main([command, "--config", cfg, "--out", out])
+    _assert_usage_error(out, rc, lines)
+    assert lines[0] == "error: bad config: " + message
 
 
 def test_module_entry_point_exits_with_the_usage_error(tmp_path):

@@ -7,7 +7,16 @@ from hypothesis import given, settings, strategies as st
 import schrod1d.limitops as lo
 import schrod1d.potential as pot
 from schrod1d.prng import CounterRng
-from schrod1d.scalars import GaussianInteger, RegimeError
+from schrod1d.scalars import RegimeError
+
+
+def distance_to(ess, z):
+    """Float distance from z to the essential spectrum, side by side."""
+    return min(bs.distance_to_spectrum(z) for bs in ess.side_bands.values())
+
+
+def failed_keys(rep):
+    return tuple(k for k, c in rep.conditions.items() if c.holds is False)
 
 
 def kernel_example():
@@ -48,7 +57,7 @@ def test_essential_spectrum_union():
     assert ess.intervals == ((-2.0, 6.0),)
     assert ess.contains(0) and ess.contains(5) and ess.contains(2)
     assert not ess.contains(F(13, 2))
-    assert ess.distance_to(7) == 1.0
+    assert distance_to(ess, 7) == 1.0
 
 
 def test_essential_spectrum_disjoint_sides():
@@ -56,7 +65,7 @@ def test_essential_spectrum_disjoint_sides():
     ess = lo.essential_spectrum(p)
     assert ess.intervals == ((-2.0, 2.0), (6.0, 10.0))
     assert not ess.contains(4)
-    assert ess.distance_to(4) == 2.0
+    assert distance_to(ess, 4) == 2.0
 
 
 def test_fredholm_full_line():
@@ -94,7 +103,7 @@ def test_applicability_constant_gap_point():
     assert set(rep.conditions) == {"a", "b", "c"}
     assert all(c.holds is True for c in rep.conditions.values())
     assert rep.applicable is True
-    assert rep.failed_keys() == ()
+    assert failed_keys(rep) == ()
 
 
 def test_applicability_halfline_eigenvalue_blocks():
@@ -103,7 +112,7 @@ def test_applicability_halfline_eigenvalue_blocks():
     assert set(rep.conditions) == {"d", "e"}
     assert rep.conditions["d"].holds is False
     assert rep.applicable is False
-    assert "d" in rep.failed_keys()
+    assert "d" in failed_keys(rep)
     # the same defect breaks one rotation compression on the full line
     full = lo.fsm_applicability(p, 0)
     assert full.conditions["b"].holds is False
@@ -138,7 +147,7 @@ def test_applicability_input_checks():
         lo.limit_operators(pot.sturmian())
 
 
-@pytest.mark.parametrize("word", [(0.5, 1.0), (GaussianInteger(1, 1), 2)])
+@pytest.mark.parametrize("word", [(0.5, 1.0), (1, 2, 0.25)])
 def test_halfline_invertible_exact_only(word):
     with pytest.raises(RegimeError):
         lo.halfline_invertible(pot.periodic(word), 0)

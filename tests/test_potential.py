@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import schrod1d.potential as pot
 from schrod1d.jsonio import dumps
-from schrod1d.scalars import (FLOAT, INTEGER, RATIONAL, GaussianInteger,
-                              RegimeError)
-from oracles import golden_word
+from schrod1d.scalars import FLOAT, INTEGER, RATIONAL, RegimeError
+from oracles import golden_word, window
 
 
 def family_examples():
@@ -47,7 +46,7 @@ def test_reflect_flips_about_zero(p):
 def test_json_round_trip(p):
     doc = p.to_json()
     q = pot.potential_from_json(doc)
-    assert q.window(-20, 20) == p.window(-20, 20)
+    assert window(q, -20, 20) == window(p, -20, 20)
     assert q.regime == p.regime
     # serialization is deterministic down to bytes
     assert dumps(doc) == dumps(q.to_json())
@@ -58,13 +57,13 @@ def test_json_regime_inference(p):
     # configs may omit the regime tag; decoding infers it from the values
     doc = {k: v for k, v in p.to_json().items() if k != "regime"}
     q = pot.potential_from_json(doc)
-    assert q.window(-20, 20) == p.window(-20, 20)
+    assert window(q, -20, 20) == window(p, -20, 20)
 
 
 def test_periodic_word_and_phase():
     p = pot.periodic([1, 0, 1, 0, 1])
     assert p.period == 5
-    assert p.window(0, 4) == [1, 0, 1, 0, 1]
+    assert window(p, 0, 4) == [1, 0, 1, 0, 1]
     assert p.value(5) == p.value(0) and p.value(-1) == p.value(4)
     shifted = pot.periodic([1, 0, 1, 0, 1], phase=2)
     assert shifted.value(2) == 1 and shifted.value(3) == 0
@@ -74,8 +73,8 @@ def test_eventually_periodic_layout():
     p = pot.eventually_periodic([8, 9], [5], 0, [1, 2, 3])
     # core at 0, right word tiles from 1, left word ends at -1
     assert p.value(0) == 5
-    assert p.window(1, 6) == [1, 2, 3, 1, 2, 3]
-    assert p.window(-4, -1) == [8, 9, 8, 9]
+    assert window(p, 1, 6) == [1, 2, 3, 1, 2, 3]
+    assert window(p, -4, -1) == [8, 9, 8, 9]
     assert p.right_start == 1
 
 
@@ -86,7 +85,7 @@ def test_empty_core_junction():
 
 def test_explicit_window_and_outside():
     p = pot.explicit([5, -2, 0], start=-1, outside=1)
-    assert p.window(-2, 2) == [1, 5, -2, 0, 1]
+    assert window(p, -2, 2) == [1, 5, -2, 0, 1]
     assert p.value(100) == 1 and p.value(-100) == 1
 
 
@@ -100,24 +99,23 @@ def test_sturmian_matches_block_construction():
 def test_sturmian_prefix():
     p = pot.sturmian()
     assert [p.value(n) for n in range(1, 6)] == [1, 0, 1, 1, 0]
-    assert set(p.window(1, 500)) == {0, 1}
+    assert set(window(p, 1, 500)) == {0, 1}
 
 
 def test_random_is_deterministic_random_access():
     p = pot.random_values(987654321, [-3, 1, 4])
-    window = p.window(-50, 50)
-    assert window == pot.random_values(987654321, [-3, 1, 4]).window(-50, 50)
-    assert set(window) <= {-3, 1, 4}
+    vals = window(p, -50, 50)
+    assert vals == window(pot.random_values(987654321, [-3, 1, 4]), -50, 50)
+    assert set(vals) <= {-3, 1, 4}
     # different seeds decouple
     q = pot.random_values(987654322, [-3, 1, 4])
-    assert q.window(-50, 50) != window
+    assert window(q, -50, 50) != vals
 
 
 def test_regime_inference():
     assert pot.periodic([1, 2]).regime == INTEGER
     assert pot.periodic([1, F(1, 2)]).regime == RATIONAL
     assert pot.periodic([1, 0.5]).regime == FLOAT
-    assert pot.explicit([GaussianInteger(0, 1)], start=0).regime == "gaussian_integer"
 
 
 def test_rejected_values():
@@ -125,8 +123,6 @@ def test_rejected_values():
         pot.periodic([True, 0])
     with pytest.raises(RegimeError):
         pot.periodic([1, None])
-    with pytest.raises(RegimeError):
-        pot.periodic([GaussianInteger(1, 1), F(1, 2)])
     with pytest.raises(ValueError):
         pot.periodic([])
     with pytest.raises(ValueError):

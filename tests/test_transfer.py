@@ -11,7 +11,9 @@ from oracles import CONSTANT4_DETERMINANTS, bareiss_determinant, dense_section
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+small_ints = st.integers(min_value=-4, max_value=4)
 words = st.lists(small_fracs, min_size=1, max_size=6)
+int_words = st.lists(small_ints, min_size=1, max_size=6)
 
 
 def test_single_step_matrix():
@@ -97,24 +99,31 @@ def test_orbit_halving_example():
     orbit = tr.dirichlet_orbit(p, 0, 30)
     for k in range(0, 11):
         assert orbit.value(3 * k) == F(1, 2 ** k)
-    assert orbit.growth == "decay"
-    # fit skips the in-period zeros, so the slope is only near -ln(2)/3
-    assert abs(orbit.slope_per_step + math.log(2) / 3) < 5e-2
-    assert orbit.all_in_ring and not orbit.integer_valued
 
 
 def test_orbit_growth_constant_potential():
     p = pot.periodic([4])
-    orbit = tr.dirichlet_orbit(p, 0, 120)
-    assert orbit.growth == "growth"
-    assert abs(orbit.slope_per_step - math.log(2 + math.sqrt(3))) < 1e-6
-    assert orbit.integer_valued
+    orbit = tr.dirichlet_orbit(p, 0, len(CONSTANT4_DETERMINANTS) - 1)
+    for n, det in enumerate(CONSTANT4_DETERMINANTS):
+        assert orbit.value(n) == (-1) ** n * det
+
+
+@given(st.one_of(int_words, words), st.one_of(small_ints, small_fracs),
+       st.integers(min_value=1, max_value=16))
+@settings(max_examples=100, deadline=None)
+def test_orbit_is_signed_section_determinant(word, z, length):
+    # x_n and det (H - z)[0, n - 1] obey the same three-term recursion up to
+    # the sign (-1)^n, from x_0 = 1 = det of the empty section
+    p = pot.periodic(word)
+    orbit = tr.dirichlet_orbit(p, z, length)
+    for n in range(length + 1):
+        assert orbit.value(n) == \
+            (-1) ** n * tr.finite_section_determinant(p, z, 0, n - 1)
 
 
 def test_orbit_bounded_free_case():
     p = pot.periodic([0])
     orbit = tr.dirichlet_orbit(p, 0, 100)
-    assert orbit.growth == "bounded"
     assert set(orbit.values) == {-1, 0, 1}
 
 
