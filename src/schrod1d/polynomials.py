@@ -16,6 +16,11 @@ kept as integer numerators over a shared denominator, so no Fraction
 arithmetic runs inside a bisection loop. `peval` stays the exact-value
 evaluator.
 
+`refine_root` may take a float guess. One exact Newton step from it names
+the cell of the bisection tree the loop would end in, and the integer signs
+at the two ends of that cell accept it; a guess only saves work, it never
+decides the answer.
+
 Root isolation follows the classical Sturm bisection: build the Sturm chain
 of the polynomial, count sign variations at rational points, split until
 each interval holds exactly one root. A Sturm chain counts distinct roots
@@ -221,12 +226,18 @@ def sturm_chain(c, d=None):
     return [p for p in chain if p]
 
 
-def _hsign(ic, a, bpow):
-    """Sign of sum ic[i] a^i b^(d-i) with bpow[j] = b^j, b > 0."""
+def _hval(ic, a, bpow):
+    """sum ic[i] a^i b^(d-i) with bpow[j] = b^j: b^d times ic at a/b."""
     d = len(ic) - 1
     acc = ic[d]
     for i in range(d - 1, -1, -1):
         acc = acc * a + ic[i] * bpow[d - i]
+    return acc
+
+
+def _hsign(ic, a, bpow):
+    """Sign of ic at a/b with bpow[j] = b^j, b > 0."""
+    acc = _hval(ic, a, bpow)
     return (acc > 0) - (acc < 0)
 
 
@@ -259,15 +270,21 @@ def variations_at(chain, x):
     return _sturm_at(chain, x.numerator, x.denominator)[0]
 
 
-def sign_at_root(g, target, lo, hi):
-    """Sign of g at the unique root of `target` inside (lo, hi).
+def tarski_chain(target, g):
+    """Signed remainder sequence of (target, target' g), for sign_at_root;
+    one chain answers the query for every root of target."""
+    return sturm_chain(target, pmul(pderiv(target), g))
+
+
+def sign_at_root(chain, lo, hi):
+    """Sign of g at the unique root of `target` inside (lo, hi), for
+    chain = tarski_chain(target, g).
 
     Tarski query (Sylvester's theorem): V(lo) - V(hi) over the signed
     remainder sequence of (target, target' g) sums the sign of g over the
     roots of target in (lo, hi), for lo and hi not roots. g must not vanish
     at the root.
     """
-    chain = sturm_chain(target, pmul(pderiv(target), g))
     s = variations_at(chain, lo) - variations_at(chain, hi)
     assert s in (1, -1)
     return s
@@ -335,13 +352,24 @@ def isolate_real_roots(c):
     return out
 
 
-def refine_root(c, lo, hi, width):
+def refine_root(c, lo, hi, width, guess=None):
     """Bisect an isolating interval of a simple root down to the given width.
 
     Accepts degenerate [r, r] inputs unchanged. width is exact (Fraction).
     The interval holds one root of c, so when c changes sign across it
     bisecting c takes the same branches as bisecting its square-free part;
     only a root of even multiplicity needs square_free(c).
+
+    A guess (a float, or any number with as_integer_ratio) may skip the
+    bisection. Say the loop stops at depth k. One exact Newton step from the
+    guess names a depth-k cell of (lo, hi); if the signs at its two ends are
+    those at lo and at hi, both nonzero, the cell holds the root. No
+    midpoint of a shallower level lies inside that cell, so the loop would
+    end in it too, and it is returned. An end where the sign is 0 is the
+    root r; it lies on the depth-k grid, so the loop would test it as a
+    midpoint and return [r, r], and so does this path. With no guess, nan
+    or inf, a cell out of range or a sign that does not match, the loop
+    runs.
     """
     if lo == hi:
         return lo, hi
@@ -357,6 +385,10 @@ def refine_root(c, lo, hi, width):
     d = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = hi.numerator * (d // hi.denominator)
+    if guess is not None:
+        cell = _guided_cell(f, a, b, d, width, slo, shi, guess)
+        if cell is not None:
+            return cell
     while (b - a) * width.denominator > width.numerator * d:
         m, d = a + b, 2 * d
         sm = _hsign(f, m, _powers(d, len(f) - 1))
@@ -368,6 +400,46 @@ def refine_root(c, lo, hi, width):
         else:
             a, b = 2 * a, m
     return Fraction(a, d), Fraction(b, d)
+
+
+def _guided_cell(f, a, b, d, width, slo, shi, guess):
+    """The last cell of bisecting (a/d, b/d) for the width, as a Fraction
+    pair, if one Newton step from guess names it and the signs of f at its
+    ends confirm it; [r, r] if an end is the root r; else None. b - a is
+    the same at every depth."""
+    try:
+        n, m = guess.as_integer_ratio()
+    except (ValueError, OverflowError):  # nan, inf
+        return None
+    w = b - a
+    # depth k: the least k >= 0 with w / (d 2^k) <= width
+    q = -(-w * width.denominator // (width.numerator * d))
+    k = (q - 1).bit_length()
+    if k == 0:
+        return None
+    # x = g - f(g)/f'(g) = num/den, from the homogeneous forms at n/m
+    deg = len(f) - 1
+    mpow = _powers(m, deg)
+    dg = _hval([i * f[i] for i in range(1, deg + 1)], n, mpow)
+    num, den = n, m
+    if dg:
+        num, den = n * dg - _hval(f, n, mpow), m * dg
+    # depth-k cell index: floor((x - a/d) 2^k d / w)
+    i = ((num * d - a * den) << k) // (den * w)
+    if not 0 <= i < 1 << k:
+        return None
+    dk, left = d << k, (a << k) + i * w
+    bpow = _powers(dk, deg)
+    for end, want in ((left, slo), (left + w, shi)):
+        s = _hsign(f, end, bpow)
+        if s == 0:
+            # an exact root on the depth-k grid is a midpoint the loop
+            # would test, so it would return [r, r] too
+            r = Fraction(end, dk)
+            return r, r
+        if s != want:
+            return None
+    return Fraction(left, dk), Fraction(left + w, dk)
 
 
 def count_roots_in(c, lo, hi):

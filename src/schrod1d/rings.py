@@ -136,8 +136,9 @@ class RingSpec:
         twice[0] -= 2
         s = twice[0]
         if any(twice[1:]):
-            s = pl.sign_at_root(pl.poly(twice), pl.poly(_MINIMAL[self.order]),
-                                *_ROOT[self.order])
+            chain = pl.tarski_chain(pl.poly(_MINIMAL[self.order]),
+                                    pl.poly(twice))
+            s = pl.sign_at_root(chain, *_ROOT[self.order])
         return "below_one" if s < 0 else "at_least_one"
 
 

@@ -11,9 +11,18 @@ sequences), and the sign of m22 at a root of m12 is a Tarski query
 tridiagonal sections: whole truncation spectra by the root-free QL/QR
 algorithm (sterf), and the two eigenvalues next to a point by bisection with
 index selection (stebz).
+
+Floats also propose where exact roots lie. Band edges are the eigenvalues
+of the q x q periodic and antiperiodic Floquet matrices (the roots of
+disc -+ 2), and the roots of m12 those of the section [0, q - 2]. LAPACK
+gives them as guesses to `polynomials.refine_root`, which takes the final
+2^-60 cell only when the integer signs at its two ends confirm it, and
+otherwise bisects as before; the printed intervals do not depend on the
+guesses.
 """
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,11 +150,44 @@ class BandSet:
         }
 
 
+def _eigenvalue_guesses(word, corners):
+    """Ascending eigenvalues of the Jacobi matrices of word (unit
+    off-diagonal) with each corner value added at both corners, as floats;
+    None if floats cannot carry them (overflow, LAPACK failure, inf, nan).
+
+    Corners +1 and -1 give the periodic and antiperiodic Floquet matrices
+    (for q = 1 both corners land on the one diagonal entry, for q = 2 on the
+    off-diagonal); corner 0 gives the open section."""
+    q = len(word)
+    try:
+        diag = np.diag([float(v) for v in word])
+        vals = []
+        for s in corners:
+            h = diag + np.eye(q, k=1) + np.eye(q, k=-1)
+            h[0, -1] += s
+            h[-1, 0] += s
+            vals.append(np.linalg.eigvalsh(h))
+        vals = np.sort(np.concatenate(vals))
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    return vals.tolist() if np.isfinite(vals).all() else None
+
+
+def _guess(values, lo, hi):
+    """The first value of the ascending list inside [lo, hi], or None; the
+    comparisons are exact, so huge interval ends do not overflow."""
+    if values is None:
+        return None
+    j = bisect_left(values, lo)
+    return values[j] if j < len(values) and values[j] <= hi else None
+
+
 def bands(d):
     """Assemble the band structure from a discriminant, exactly.
 
     Roots of disc^2 - 4 are isolated with Sturm chains and refined to width
-    2^-60; the sign of disc^2 - 4 at exact rational sample points between
+    2^-60, guided by the Floquet eigenvalues when the discriminant carries
+    its word; the sign of disc^2 - 4 at exact rational sample points between
     consecutive roots decides band versus gap. Bands touching at a closed gap
     are merged. Raises SpectralStructureError if disc^2 - 4 has non-real
     roots, which cannot happen for a real periodic potential.
@@ -162,9 +204,11 @@ def bands(d):
     raw = pl.isolate_real_roots(sf)
     if not raw:
         raise SpectralStructureError("discriminant has no band edges")
+    floquet = None if d.word is None else _eigenvalue_guesses(d.word, (1, -1))
     edges = []
     for lo, hi in raw:
-        edges.append(EdgeRoot(*pl.refine_root(sf, lo, hi, EDGE_WIDTH)))
+        edges.append(EdgeRoot(*pl.refine_root(
+            sf, lo, hi, EDGE_WIDTH, guess=_guess(floquet, lo, hi))))
 
     # exact sample points strictly between consecutive root intervals
     fi = pl.primitive(f)
@@ -236,8 +280,10 @@ def dirichlet_eigenvalues(p):
     Roots of m12 are isolated over Q; each is kept iff |m22| < 1 there,
     decided by a Tarski query on m22^2 - 1. Where m12 = 0, det M = 1 gives
     m11 m22 = 1 and disc^2 - 4 = (m22 - 1/m22)^2, so a root of gcd(m12,
-    m22^2 - 1) is a band edge and is rejected. Every eigenvalue is
-    cross-validated against LAPACK truncation spectra at sizes >= 60 * period.
+    m22^2 - 1) is a band edge and is rejected. The roots of m12 are refined
+    from the eigenvalues of the section [0, period - 2] as guesses. Every
+    eigenvalue is cross-validated against LAPACK truncation spectra at sizes
+    >= 60 * period.
     """
     if not isinstance(p, PeriodicPotential):
         raise TypeError("dirichlet_eigenvalues needs a periodic potential")
@@ -248,6 +294,8 @@ def dirichlet_eigenvalues(p):
     if pl.degree(m12) >= 1:
         m22sq1 = pl.psub(pl.pmul(m22, m22), pl.constant(1))
         boundary = pl.pgcd(m12, m22sq1)
+        section = _eigenvalue_guesses(bs.disc.word[:-1], (0,))
+        chains = None  # Tarski chains of (m12, m22^2 - 1) and (m12, m22)
         for lo, hi in pl.isolate_real_roots(m12):
             if lo == hi:
                 val = pl.peval(m22, lo)
@@ -257,9 +305,13 @@ def dirichlet_eigenvalues(p):
                 keep = False  # |m22| = 1 exactly: band edge, no eigenvalue
                 side = None
             else:
-                keep = pl.sign_at_root(m22sq1, m12, lo, hi) < 0
-                side = pl.sign_at_root(m22, m12, lo, hi)
-            lo, hi = pl.refine_root(m12, lo, hi, EDGE_WIDTH)
+                if chains is None:
+                    chains = (pl.tarski_chain(m12, m22sq1),
+                              pl.tarski_chain(m12, m22))
+                keep = pl.sign_at_root(chains[0], lo, hi) < 0
+                side = pl.sign_at_root(chains[1], lo, hi)
+            lo, hi = pl.refine_root(m12, lo, hi, EDGE_WIDTH,
+                                    guess=_guess(section, lo, hi))
             mid = (lo + hi) / 2
             approx = float(mid)
             if not keep:

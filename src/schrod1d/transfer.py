@@ -12,7 +12,7 @@ are computed in the strongest common scalar regime of the potential and the
 spectral parameter and stay exact in the exact regimes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polynomials as pl
@@ -142,11 +142,14 @@ class Discriminant:
     """Floquet discriminant: trace of the symbolic one-period transfer.
 
     coeffs are exact Fractions, ascending; the polynomial is monic of degree
-    equal to the period.
+    equal to the period. word is the period read as v(0), ..., v(period - 1)
+    when the discriminant comes from a potential: `spectral.bands` takes its
+    float edge guesses from it. It is neither compared nor serialised.
     """
 
     period: int
     coeffs: tuple
+    word: tuple = field(default=None, compare=False, repr=False)
 
     def value(self, z):
         return pl.peval(self.coeffs, Fraction(z))
@@ -192,7 +195,8 @@ def discriminant(p):
     coeffs = pl.padd(m11, m22)
     assert pl.degree(coeffs) == p.period
     assert coeffs[-1] == 1
-    return Discriminant(period=p.period, coeffs=coeffs)
+    return Discriminant(period=p.period, coeffs=coeffs,
+                        word=tuple(p.value(n) for n in range(p.period)))
 
 
 @dataclass(frozen=True)

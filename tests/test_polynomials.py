@@ -1,6 +1,5 @@
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import schrod1d.polynomials as pl
@@ -130,7 +129,8 @@ def test_tarski_query_counts_signs(roots, g, a, b):
         if pl.peval(g, r) == 0:
             continue
         h = min([abs(r - s) for s in roots if s != r] + [F(1)]) / 2
-        assert pl.sign_at_root(g, p, r - h, r + h) == pl.sign(pl.peval(g, r))
+        assert pl.sign_at_root(pl.tarski_chain(p, g), r - h, r + h) == \
+            pl.sign(pl.peval(g, r))
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1,
@@ -283,6 +283,50 @@ def test_refine_root_matches_fraction_bisection(cr):
     for lo, hi in pl.isolate_real_roots(c):
         assert pl.refine_root(c, lo, hi, width) == \
             fraction_refine_root(c, lo, hi, width)
+
+
+@given(rooted_polys())
+@settings(max_examples=60, deadline=None)
+def test_refine_root_guess_changes_nothing(cr):
+    # a guess may only save work: whatever it is, the interval is the one
+    # bisection gives, with or without a guess, and over Q
+    c, exact_roots = cr
+    width = F(1, 2 ** 60)
+    intervals = pl.isolate_real_roots(c)
+    floats = [float((lo + hi) / 2) if lo == hi else
+              float(sum(fraction_refine_root(c, lo, hi, F(1, 2 ** 70))) / 2)
+              for lo, hi in intervals]
+    for (lo, hi), r in zip(intervals, floats):
+        expected = fraction_refine_root(c, lo, hi, width)
+        assert pl.refine_root(c, lo, hi, width) == expected
+        guesses = [r, r + 1e-9, r - 1e-9, lo, hi, float(lo), float(hi),
+                   float(hi) + 1.0, float(lo) - 1000.0, float("nan"),
+                   float("inf"), float("-inf")]
+        guesses += [s for s in floats if s != r]
+        guesses += [x for x in exact_roots if lo <= x <= hi]
+        for g in guesses:
+            assert pl.refine_root(c, lo, hi, width, guess=g) == expected, g
+
+
+def test_refine_root_guess_at_a_bisection_tree_point(monkeypatch):
+    # 5/16 is a depth-4 midpoint of (0, 1): the guided cell has it as an
+    # end, and the answer is the exact root, as without a guess; a close
+    # guess needs the signs at 0 and 1 and at most two more, bisection four
+    c = pl.pmul(pl.poly([F(-5, 16), 1]), pl.poly([-7, 1]))
+    width = F(1, 2 ** 20)
+    r = F(5, 16)
+    assert fraction_refine_root(c, F(0), F(1), width) == (r, r)
+    hsign, signs = pl._hsign, []
+
+    def counting_hsign(*args):
+        signs.append(args)
+        return hsign(*args)
+    monkeypatch.setattr(pl, "_hsign", counting_hsign)
+    close = (r, 0.3125, 0.3125 + 1e-12, 0.3125 - 1e-12)
+    for g in (None, 0.3, 0.0, 1.0, 7.0) + close:
+        signs.clear()
+        assert pl.refine_root(c, F(0), F(1), width, guess=g) == (r, r), g
+        assert len(signs) <= 4 if g in close else len(signs) >= 6, g
 
 
 def test_cauchy_bound_contains_roots():

@@ -1,4 +1,4 @@
-import math
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import schrod1d.polynomials as pl
 import schrod1d.potential as pot
+from schrod1d import cli
 import schrod1d.spectral as sp
 import schrod1d.transfer as tr
 from oracles import constant4_eigenvalues, constant4_sigma_min, count_below
@@ -203,6 +204,93 @@ def test_cross_check_catches_shifted_spectra(monkeypatch, shift, raises):
             sp.dirichlet_eigenvalues(p)
     else:
         assert len(sp.dirichlet_eigenvalues(p).eigenvalues) == 1
+
+
+# integer q = 12 (also at phase 5), p/q q = 8, a repeated block q = 10, and
+# the README words: (1/2, 2, 1/2), (4), and the two sides of example-4-2
+GUIDED_WORDS = [
+    ((3, -1, 4, 1, -5, 2, 0, 6, -2, 5, -3, 1), 0),
+    ((3, -1, 4, 1, -5, 2, 0, 6, -2, 5, -3, 1), 5),
+    (("1/2", 2, "-3/4", 1, "5/3", 0, -2, "1/3"), 0),
+    ((2, -1, 0, 3, 1) * 2, 0),
+    (("1/2", 2, "1/2"), 0),
+    ((4,), 0),
+    ((1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1), 0),
+    ((1, 0, 1, 0, 1), 0),
+]
+
+
+def _refine_sign_counts(monkeypatch, use_guess):
+    """Route pl.refine_root through a wrapper that counts the integer sign
+    evaluations of each call; the guess is dropped unless use_guess."""
+    refine, hsign = pl.refine_root, pl._hsign
+    signs, per_call = [0], []
+
+    def counting_hsign(*args):
+        signs[0] += 1
+        return hsign(*args)
+
+    def counting_refine(c, lo, hi, width, guess=None):
+        before = signs[0]
+        out = refine(c, lo, hi, width, guess=guess if use_guess else None)
+        per_call.append(signs[0] - before)
+        return out
+    monkeypatch.setattr(pl, "_hsign", counting_hsign)
+    monkeypatch.setattr(pl, "refine_root", counting_refine)
+    return per_call
+
+
+def _bands_outputs(tmp_path, capsys, name, word, phase):
+    cfg = tmp_path / (name + ".json")
+    cfg.write_text(json.dumps({"potential": {
+        "kind": "periodic", "word": list(word), "phase": phase}}))
+    out = tmp_path / name
+    assert cli.main(["bands", "--config", str(cfg), "--out", str(out)]) == 0
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    return files, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("word, phase", GUIDED_WORDS)
+def test_guided_refinement_work_and_bytes(tmp_path, monkeypatch, capsys,
+                                          word, phase):
+    # every band edge and Dirichlet root takes the guided path: at most four
+    # integer signs (two at lo, hi and two at the cell ends), and the
+    # artifacts are byte for byte those of plain bisection
+    guided = _refine_sign_counts(monkeypatch, True)
+    out = _bands_outputs(tmp_path, capsys, "guided", word, phase)
+    assert guided and max(guided) <= 4
+    monkeypatch.undo()
+    plain = _refine_sign_counts(monkeypatch, False)
+    assert _bands_outputs(tmp_path, capsys, "plain", word, phase) == out
+    assert len(plain) == len(guided) and sum(plain) > sum(guided)
+
+
+def test_guesses_are_best_effort(monkeypatch):
+    # a word beyond the float range gives no guess, and bands runs the
+    # plain bisection for every edge without a traceback
+    refine = pl.refine_root
+    guesses = []
+
+    def recording_refine(c, lo, hi, width, guess=None):
+        guesses.append(guess)
+        return refine(c, lo, hi, width, guess=guess)
+    monkeypatch.setattr(pl, "refine_root", recording_refine)
+    assert len(sp.bands(pot.periodic([10 ** 400, 0, 1])).edges) == 6
+    assert guesses == [None] * 6
+    monkeypatch.setattr(pl, "refine_root", refine)
+
+    # a LAPACK failure or a non-finite eigenvalue gives no guess either
+    p = pot.periodic([3, -1, 4, 1, -5])
+    d = tr.discriminant(p)
+    plain = sp.bands(tr.Discriminant(d.period, d.coeffs))
+
+    def no_convergence(h):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    for fake in (no_convergence, lambda h: np.full(len(h), np.nan),
+                 lambda h: np.full(len(h), np.inf)):
+        monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+        assert sp._eigenvalue_guesses(d.word, (1, -1)) is None
+        assert sp.bands(p) == plain
 
 
 def test_dirichlet_needs_periodic():
