@@ -32,10 +32,9 @@ from fractions import Fraction
 
 from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
                         PeriodicPotential, periodic)
-from .scalars import INTEGER, RATIONAL, RegimeError
-from .spectral import bands, _to_fraction
-from .transfer import (TransferMatrix, discriminant, monodromy_dirichlet_test,
-                       transfer_product)
+from .scalars import INTEGER, RATIONAL, RegimeError, to_fraction
+from .spectral import bands
+from .transfer import discriminant, monodromy_dirichlet_test, transfer_product
 
 KERNEL_SUSPECT_TOL = 1e-8
 
@@ -109,7 +108,7 @@ class EssentialSpectrum:
 
     def contains(self, z):
         """Exact membership via the side discriminants."""
-        zf = _to_fraction(z)
+        zf = to_fraction(z)
         return any(abs(bs.disc.value(zf)) <= 2
                    for bs in self.side_bands.values())
 
@@ -145,7 +144,7 @@ def is_fredholm(p, z, operator="full_line"):
     compression, which only sees the right limit operators)."""
     if operator not in ("full_line", "half_line"):
         raise ValueError("operator must be full_line or half_line")
-    zf = _to_fraction(z)
+    zf = to_fraction(z)
     lw, rw, _, _ = _side_words(p)
     sides = {"right": rw} if operator == "half_line" else {"left": lw, "right": rw}
     values = {w: discriminant(periodic(w)).value(zf)
@@ -191,7 +190,7 @@ def _halfline_invertible_from_junction(p, z, junction, word_len):
     """
     if p.regime not in (INTEGER, RATIONAL):
         raise RegimeError("half-line invertibility is decided over Q only")
-    zf = _to_fraction(z)
+    zf = to_fraction(z)
     m = transfer_product(p, zf, junction, junction + word_len - 1)
     disc_val = m.trace()
     if abs(disc_val) < 2:
@@ -244,7 +243,8 @@ def _rotation_condition(word, z, compress, integer_certificates):
 
     compress = "plus" tests the word as written on [0, inf); "minus" tests
     the compression to (-inf, -1], which after the reflection n -> -1 - n is
-    the plus-compression of the reversed word.
+    the plus-compression of the reversed word. integer_certificates (integer
+    word, z a Fraction of denominator 1) adds monodromy_dirichlet_test.
     """
     w = tuple(reversed(word)) if compress == "minus" else tuple(word)
     q = len(w)
@@ -255,9 +255,7 @@ def _rotation_condition(word, z, compress, integer_certificates):
         res = _halfline_invertible_from_junction(rot, z, 0, q)
         cert = None
         if integer_certificates and res.status in ("invertible", "eigenvalue"):
-            zf = _to_fraction(z)
-            if zf.denominator == 1 and rot.regime == INTEGER:
-                cert = monodromy_dirichlet_test(rot, int(zf))
+            cert = monodromy_dirichlet_test(rot, int(z))
         items.append((r, res, cert))
         if not res.invertible:
             bad.append((r, res.status))
@@ -291,23 +289,18 @@ def full_line_kernel_scan(p, z):
     excluded numerically.
     """
     lw, rw, lj, rj = _side_words(p)
-    zf = float(_to_fraction(z))
-
-    def step(n):
-        return TransferMatrix(0.0, 1.0, -1.0, zf - float(p.value(n)))
+    zf = float(to_fraction(z))
 
     def transport_to_zero(vec, site):
         x, y = vec
         n = site
-        while n > 0:  # vec holds (x_{n-1}, x_n); go down
-            t = step(n - 1)
-            x, y = t.d * x - t.b * y, -t.c * x + t.a * y  # inverse, det 1
+        while n > 0:  # (x, y) holds (x_{n-1}, x_n); go down
+            n -= 1
+            x, y = (zf - p.value(n)) * x - y, x
             m = max(abs(x), abs(y))
             x, y = x / m, y / m
-            n -= 1
         while n < 0:  # go up
-            t = step(n)
-            x, y = t.a * x + t.b * y, t.c * x + t.d * y
+            x, y = y, (zf - p.value(n)) * y - x
             m = max(abs(x), abs(y))
             x, y = x / m, y / m
             n += 1
@@ -373,7 +366,7 @@ def fsm_applicability(p, z=0, operator="full_line"):
     if operator not in ("full_line", "half_line"):
         raise ValueError("operator must be full_line or half_line")
     lw, rw, _, _ = _side_words(p)
-    zf = _to_fraction(z)
+    zf = to_fraction(z)
     if p.regime not in (INTEGER, RATIONAL):
         raise RegimeError("applicability analysis is exact-only")
     integer_certs = p.regime == INTEGER and zf.denominator == 1

@@ -5,9 +5,9 @@ Potentials and spectral parameters live in one of three regimes, a chain
     integer < rational < float        (coercion goes rightward)
 
 The exact regimes use arbitrary precision (int, Fraction); float is IEEE
-double. All exact arithmetic in the package is duck-typed over these
-scalars, so transfer products, orbits and determinants work in whatever
-regime the inputs join to.
+double. The chain is Python's promotion int < Fraction < float, so the
+package computes on scalars as they come; this module alone decides what a
+scalar is (regime_of, to_fraction) and how regimes join.
 """
 
 import math
@@ -36,6 +36,14 @@ def regime_of(x):
     if isinstance(x, float):
         return FLOAT
     raise RegimeError("unsupported scalar type %r" % type(x).__name__)
+
+
+def to_fraction(x):
+    """The scalar x as an exact Fraction: RegimeError for a bool or a
+    non-scalar, ValueError for nan and inf."""
+    if regime_of(x) == FLOAT and not math.isfinite(x):
+        raise ValueError("non-finite scalar %r" % (x,))
+    return Fraction(x)
 
 
 def join_regimes(a, b):

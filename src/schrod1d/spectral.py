@@ -32,7 +32,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from . import polynomials as pl
 from .potential import PeriodicPotential
-from .scalars import RegimeError
+from .scalars import to_fraction
 from .transfer import Discriminant, discriminant, symbolic_monodromy
 
 EDGE_WIDTH = Fraction(1, 2 ** 60)
@@ -40,18 +40,6 @@ EDGE_WIDTH = Fraction(1, 2 ** 60)
 
 class SpectralStructureError(ValueError):
     """Raised when a discriminant violates the self-adjoint band structure."""
-
-
-def _to_fraction(z):
-    if isinstance(z, bool):
-        raise RegimeError("boolean spectral parameter rejected")
-    if isinstance(z, (int, Fraction)):
-        return Fraction(z)
-    if isinstance(z, float):
-        if math.isnan(z) or math.isinf(z):
-            raise ValueError("spectral parameter must be finite")
-        return Fraction(z)
-    raise RegimeError("spectral parameter must be int, Fraction or float")
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,7 @@ class BandSet:
         and the (band or gap) index where applicable. Floats are converted to
         exact rationals first, so the answer never depends on edge rounding.
         """
-        zf = _to_fraction(z)
+        zf = to_fraction(z)
         val = self.disc.value(zf)
         if abs(val) < 2:
             for b, (i, j) in enumerate(self.band_edge_pairs):
@@ -131,7 +119,7 @@ class BandSet:
         loc = self.locate(z)
         if loc["kind"] in ("band", "edge"):
             return 0.0
-        zf = _to_fraction(z)
+        zf = to_fraction(z)
         if loc["kind"] == "below":
             return float(self.edges[self.band_edge_pairs[0][0]].lo - zf)
         if loc["kind"] == "above":
@@ -283,10 +271,16 @@ def dirichlet_eigenvalues(p):
     m22^2 - 1) is a band edge and is rejected. The roots of m12 are refined
     from the eigenvalues of the section [0, period - 2] as guesses. Every
     eigenvalue is cross-validated against LAPACK truncation spectra at sizes
-    >= 60 * period.
+    >= 60 * period, so a word entry beyond the float range raises
+    ValueError before any exact work (bands stays exact for any word).
     """
     if not isinstance(p, PeriodicPotential):
         raise TypeError("dirichlet_eigenvalues needs a periodic potential")
+    try:
+        p.array(0, p.period - 1)
+    except OverflowError:
+        raise ValueError("dirichlet_eigenvalues needs word entries in the "
+                         "float range") from None
     _, m12, _, m22 = symbolic_monodromy(p)
     bs = bands(p)
     eigs = []

@@ -7,9 +7,10 @@ The operator acts as (H x)_n = x_{n-1} + v(n) x_n + x_{n+1}. A solution of
     T_z(n) = [[0, 1], [-1, z - v(n)]],
 
 so at z = 0 the matrix is [[0, 1], [-1, -v(n)]]. All matrices here have
-determinant 1 exactly; products, Dirichlet orbits and section determinants
-are computed in the strongest common scalar regime of the potential and the
-spectral parameter and stay exact in the exact regimes.
+determinant 1 exactly. Products, Dirichlet orbits and section determinants
+run on the potential values and the spectral parameter as they come:
+Python's promotion int < Fraction < float is the regime chain of scalars.py,
+so exact inputs give exact results and any float input a float result.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +18,7 @@ from fractions import Fraction
 
 from . import polynomials as pl
 from .potential import PeriodicPotential
-from .scalars import (FLOAT, INTEGER, RATIONAL, RegimeError, coerce,
-                      join_regimes, regime_of)
+from .scalars import INTEGER, RATIONAL, RegimeError, regime_of, to_fraction
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,15 @@ class TransferMatrix:
     d: object
 
     @classmethod
-    def identity(cls, regime=INTEGER):
-        one = coerce(1, regime)
-        zero = coerce(0, regime)
-        return cls(one, zero, zero, one)
+    def identity(cls):
+        return cls(1, 0, 0, 1)
 
     @classmethod
-    def single(cls, v, z, regime=None):
+    def single(cls, v, z):
         """One-step matrix [[0, 1], [-1, z - v]]."""
-        if regime is None:
-            regime = join_regimes(regime_of(v), regime_of(z))
-        zero = coerce(0, regime)
-        one = coerce(1, regime)
-        return cls(zero, one, -one, coerce(z, regime) - coerce(v, regime))
+        for x in (v, z):
+            regime_of(x)  # RegimeError unless both are scalars
+        return cls(0, 1, -1, z - v)
 
     def __matmul__(self, other):
         return TransferMatrix(
@@ -72,19 +68,15 @@ class TransferMatrix:
         return (self.a, self.b, self.c, self.d)
 
 
-def compute_regime(p, z):
-    """Strongest common regime of a potential and a spectral parameter."""
-    return join_regimes(p.regime, regime_of(z))
-
-
 def transfer_product(p, z, l, r):
     """T_z(r) ... T_z(l), the transfer across sites l..r (identity if r < l)."""
-    regime = compute_regime(p, z)
-    m = TransferMatrix.identity(regime)
-    zc = coerce(z, regime)
+    regime_of(z)  # RegimeError unless z is a scalar
+    a, b, c, d = 1, 0, 0, 1
     for n in range(l, r + 1):
-        m = TransferMatrix.single(p.value(n), zc, regime) @ m
-    return m
+        t = z - p.value(n)
+        # [[0, 1], [-1, t]] @ [[a, b], [c, d]]
+        a, b, c, d = c, d, t * c - a, t * d - b
+    return TransferMatrix(a, b, c, d)
 
 
 def monodromy(p, z):
@@ -108,32 +100,31 @@ class DirichletOrbit:
 def dirichlet_orbit(p, z, length):
     """Propagate the Dirichlet orbit x_{-1} = 0, x_0 = 1 up to x_length.
 
-    x_{n+1} = (z - v(n)) x_n - x_{n-1}, computed in the strongest common
-    regime, so the values are exact in the exact regimes.
+    x_{n+1} = (z - v(n)) x_n - x_{n-1} on the values as they come, so the
+    orbit is exact when the potential and z are.
     """
     if length < 1:
         raise ValueError("orbit length must be at least 1")
-    regime = compute_regime(p, z)
-    zc = coerce(z, regime)
-    xs = [coerce(0, regime), coerce(1, regime)]
+    regime_of(z)  # RegimeError unless z is a scalar
+    xs = [0, 1]
     for n in range(length):
-        xs.append((zc - coerce(p.value(n), regime)) * xs[-1] - xs[-2])
-        assert regime == FLOAT or not (xs[-1] == 0 and xs[-2] == 0), \
+        xs.append((z - p.value(n)) * xs[-1] - xs[-2])
+        # float rounding can cancel to two zeros; exact values never do
+        assert isinstance(xs[-1], float) or xs[-1] != 0 or xs[-2] != 0, \
             "consecutive orbit zeros are impossible for det-1 transfers"
-    return DirichletOrbit(z=zc, values=tuple(xs))
+    return DirichletOrbit(z=z, values=tuple(xs))
 
 
 def finite_section_determinant(p, z, l, r):
     """det of the section of H - z on [l, r], by the tridiagonal recursion
-    d_n = (v(n) - z) d_{n-1} - d_{n-2}; exact in exact regimes.
+    d_n = (v(n) - z) d_{n-1} - d_{n-2}; exact when the potential and z are.
 
     The empty section (r < l) has determinant 1.
     """
-    regime = compute_regime(p, z)
-    zc = coerce(z, regime)
-    prev, cur = coerce(0, regime), coerce(1, regime)
+    regime_of(z)  # RegimeError unless z is a scalar
+    prev, cur = 0, 1
     for n in range(l, r + 1):
-        prev, cur = cur, (coerce(p.value(n), regime) - zc) * cur - prev
+        prev, cur = cur, (p.value(n) - z) * cur - prev
     return cur
 
 
@@ -152,7 +143,7 @@ class Discriminant:
     word: tuple = field(default=None, compare=False, repr=False)
 
     def value(self, z):
-        return pl.peval(self.coeffs, Fraction(z))
+        return pl.peval(self.coeffs, to_fraction(z))
 
     @property
     def degree(self):
@@ -227,7 +218,7 @@ def monodromy_dirichlet_test(p, z):
     """
     if not isinstance(p, PeriodicPotential) or p.regime != INTEGER:
         raise RegimeError("certificate requires an integer periodic potential")
-    if isinstance(z, bool) or not isinstance(z, int):
+    if regime_of(z) != INTEGER:
         raise RegimeError("certificate requires an integer spectral parameter")
     m = monodromy(p, z)
     tr = m.trace()

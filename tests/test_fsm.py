@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import schrod1d.fsm as fsm
 import schrod1d.potential as pot
 from schrod1d.jsonio import dumps
+from schrod1d.limitops import fsm_applicability
 from oracles import fullline_constant4_x0, halfline_constant4_x0
 
 
@@ -171,6 +172,42 @@ def test_run_fsm_failure_from_halfline_defect():
     rep = fsm.run_fsm(p, 0, scheme_half(), count=10)
     assert rep.verdict == "failure_observed"
     assert any("inverse norms" in r or "singular" in r for r in rep.reasons)
+
+
+def test_run_fsm_applicable_past_a_singular_first_section():
+    # word [-3, 0, 0] at z = 0: 0 lies in a gap and every one-sided
+    # compression is invertible, so the FSM applies, yet the first section
+    # [-1, 1] has determinant exactly 0. The FSM asks invertibility of all
+    # but finitely many sections, so that row witnesses no failure.
+    p = pot.periodic([-3, 0, 0])
+    cutoffs = fsm.CutoffSequence.arithmetic(1, 18)
+    scheme = fsm.SectionScheme("full_line", right=cutoffs, left=cutoffs)
+    rep = fsm.run_fsm(p, 0, scheme, count=10)
+    assert (rep.rows[0].l, rep.rows[0].r, rep.rows[0].singular) == (-1, 1, True)
+    assert fsm_applicability(p, 0, "full_line").applicable is True
+    assert rep.verdict == "applicable_observed"
+
+
+@pytest.mark.parametrize("bad_row", [0, 4, 5, 9])
+def test_singular_sections_witness_failure_past_the_settling_rows(
+        monkeypatch, bad_row):
+    # rows 0 .. SETTLE_ROWS - 1 may be singular; a later one is a failure
+    scheme = scheme_full()
+    bad = scheme.section(bad_row)
+    solve = fsm.solve_section
+
+    def singular_at_bad(p, z, l, r, rhs):
+        if (l, r) == bad:
+            raise fsm.SectionSingularError(l, r, 0.0)
+        return solve(p, z, l, r, rhs)
+    monkeypatch.setattr(fsm, "solve_section", singular_at_bad)
+    rep = fsm.run_fsm(pot.periodic([4]), 0, scheme, count=10)
+    assert rep.rows[bad_row].singular
+    if bad_row < fsm.SETTLE_ROWS:
+        assert rep.verdict == "applicable_observed"
+    else:
+        assert rep.verdict == "failure_observed"
+        assert "singular section encountered" in rep.reasons
 
 
 def test_run_fsm_inconclusive_without_reference():

@@ -4,7 +4,8 @@ import pytest
 
 from schrod1d.scalars import (FLOAT, INTEGER, RATIONAL, REGIMES, RegimeError,
                               coerce, decode_scalar, decode_scalar_any,
-                              encode_scalar, join_regimes, regime_of)
+                              encode_scalar, join_regimes, regime_of,
+                              to_fraction)
 
 
 def test_regime_of_basics():
@@ -40,6 +41,17 @@ def test_coerce_exactness():
         coerce(Fraction(1, 2), INTEGER)
     with pytest.raises(RegimeError):
         coerce(0.5, RATIONAL)
+
+
+def test_to_fraction():
+    for x in (3, Fraction(-7, 3), 0.1):
+        assert to_fraction(x) == x and type(to_fraction(x)) is Fraction
+    for bad in (True, 1j, "1", None):
+        with pytest.raises(RegimeError):
+            to_fraction(bad)
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_fraction(x)
 
 
 def test_encode_decode_round_trip():

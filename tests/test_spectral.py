@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -291,6 +292,16 @@ def test_guesses_are_best_effort(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", fake)
         assert sp._eigenvalue_guesses(d.word, (1, -1)) is None
         assert sp.bands(p) == plain
+
+
+def test_dirichlet_refuses_words_beyond_the_float_range():
+    # the approximations and the cross-check need floats: the refusal comes
+    # before any exact work (bands alone on this word takes seconds)
+    for word in ([10 ** 400, 0, 1], [F(-10 ** 400, 3), F(1, 2)]):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="float range"):
+            sp.dirichlet_eigenvalues(pot.periodic(word))
+        assert time.perf_counter() - t0 < 0.25
 
 
 def test_dirichlet_needs_periodic():

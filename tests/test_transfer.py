@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import schrod1d.potential as pot
 import schrod1d.transfer as tr
-from schrod1d.scalars import INTEGER, RATIONAL, RegimeError
+from schrod1d.scalars import RegimeError
 from oracles import CONSTANT4_DETERMINANTS, bareiss_determinant, dense_section
 
 
@@ -24,7 +24,7 @@ def test_single_step_matrix():
 
 def test_identity_and_inverse():
     m = tr.TransferMatrix.single(2, 7)
-    ident = tr.TransferMatrix.identity(INTEGER)
+    ident = tr.TransferMatrix.identity()
     assert (m.inverse() @ m).entries() == ident.entries()
     assert (m @ m.inverse()).entries() == ident.entries()
     bad = tr.TransferMatrix(2, 0, 0, 2)
@@ -87,7 +87,7 @@ def test_monodromy_trace_reference_word():
 
 
 def test_transfer_orders_of_binary_steps():
-    ident = tr.TransferMatrix.identity(INTEGER).entries()
+    ident = tr.TransferMatrix.identity().entries()
     t0 = tr.TransferMatrix.single(0, 0)
     t1 = tr.TransferMatrix.single(1, 0)
     assert (t0 @ t0 @ t0 @ t0).entries() == ident
@@ -211,6 +211,43 @@ def test_dirichlet_certificate_input_checks():
         tr.monodromy_dirichlet_test(pot.periodic([4]), True)
 
 
-def test_compute_regime_joins():
-    assert tr.compute_regime(pot.periodic([1]), 1) == INTEGER
-    assert tr.compute_regime(pot.periodic([1]), F(1, 2)) == RATIONAL
+def _bits(values):
+    """Each value with floats by their exact bits, so 0 and 0.0, or 0.0
+    and -0.0, differ."""
+    return [x.hex() if isinstance(x, float) else x for x in values]
+
+
+@given(st.one_of(st.tuples(int_words, small_fracs),
+                 st.tuples(words, small_ints),
+                 st.tuples(st.one_of(int_words, words),
+                           st.floats(min_value=-4, max_value=4))),
+       st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=8))
+@settings(max_examples=150, deadline=None)
+def test_mixed_inputs_promote_like_the_regime_chain(word_z, l, size):
+    # an int word with a Fraction z, a Fraction word with an int z, and an
+    # exact word with a float z give what the joined regime gives: the
+    # same computation with every entry converted to Fraction (exactly) or
+    # to float (bit for bit) first
+    word, z = word_z
+    up = float if isinstance(z, float) else F
+    p, p_up = pot.periodic(word), pot.periodic([up(v) for v in word])
+    r = l + size - 1
+    got = (tr.transfer_product(p, z, l, r).entries()
+           + tr.dirichlet_orbit(p, z, size + 1).values
+           + (tr.finite_section_determinant(p, z, l, r),))
+    ref = (tr.transfer_product(p_up, up(z), l, r).entries()
+           + tr.dirichlet_orbit(p_up, up(z), size + 1).values
+           + (tr.finite_section_determinant(p_up, up(z), l, r),))
+    if up is F:
+        assert got == ref
+        assert not any(isinstance(x, float) for x in got)
+    else:
+        assert _bits(got) == _bits(ref)
+    for bad in (True, 1j, "1"):
+        with pytest.raises(RegimeError):
+            tr.transfer_product(p, bad, l, r)
+        with pytest.raises(RegimeError):
+            tr.dirichlet_orbit(p, bad, size + 1)
+        with pytest.raises(RegimeError):
+            tr.finite_section_determinant(p, bad, l, r)
