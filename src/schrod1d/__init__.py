@@ -20,8 +20,7 @@ from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
                         shift, sturmian)
 from .prng import CounterRng, counter_value
 from .rings import RingSpec, RingValidation, validate_ring
-from .scalars import (FLOAT, INTEGER, RATIONAL, RegimeError, coerce,
-                      join_regimes, regime_of)
+from .scalars import FLOAT, INTEGER, RATIONAL, RegimeError, regime_of
 from .spectral import (BandSet, DirichletSpectrum, SpectralStructureError,
                        bands, dirichlet_eigenvalues, smallest_singular_value,
                        truncation_spectrum)
@@ -43,12 +42,12 @@ __all__ = [
     "RandomPotential",
     "ReferenceInconclusive", "RegimeError", "RingSpec", "RingValidation",
     "SectionScheme", "SectionSingularError", "SpectralStructureError",
-    "SturmianPotential", "TransferMatrix", "bands", "coerce", "counter_value",
+    "SturmianPotential", "TransferMatrix", "bands", "counter_value",
     "dirichlet_eigenvalues", "dirichlet_orbit", "discriminant",
     "essential_spectrum", "eventually_periodic", "explicit",
     "fibonacci_value", "finite_section_determinant", "fsm_applicability",
     "full_line_kernel_scan", "halfline_invertible", "is_fredholm",
-    "join_regimes", "limit_operators", "monodromy",
+    "limit_operators", "monodromy",
     "monodromy_dirichlet_test", "periodic",
     "potential_from_json", "random_values", "reference_solution", "reflect",
     "regime_of", "run_fsm", "run_reproduction", "shift",

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
                         PeriodicPotential, periodic)
-from .scalars import INTEGER, RATIONAL, RegimeError, to_fraction
+from .scalars import INTEGER, RATIONAL, RegimeError, to_exact
 from .spectral import bands
 from .transfer import discriminant, monodromy_dirichlet_test, transfer_product
 
@@ -108,7 +108,7 @@ class EssentialSpectrum:
 
     def contains(self, z):
         """Exact membership via the side discriminants."""
-        zf = to_fraction(z)
+        zf = to_exact(z)
         return any(abs(bs.disc.value(zf)) <= 2
                    for bs in self.side_bands.values())
 
@@ -144,7 +144,7 @@ def is_fredholm(p, z, operator="full_line"):
     compression, which only sees the right limit operators)."""
     if operator not in ("full_line", "half_line"):
         raise ValueError("operator must be full_line or half_line")
-    zf = to_fraction(z)
+    zf = to_exact(z)
     lw, rw, _, _ = _side_words(p)
     sides = {"right": rw} if operator == "half_line" else {"left": lw, "right": rw}
     values = {w: discriminant(periodic(w)).value(zf)
@@ -190,7 +190,7 @@ def _halfline_invertible_from_junction(p, z, junction, word_len):
     """
     if p.regime not in (INTEGER, RATIONAL):
         raise RegimeError("half-line invertibility is decided over Q only")
-    zf = to_fraction(z)
+    zf = to_exact(z)
     m = transfer_product(p, zf, junction, junction + word_len - 1)
     disc_val = m.trace()
     if abs(disc_val) < 2:
@@ -198,7 +198,7 @@ def _halfline_invertible_from_junction(p, z, junction, word_len):
     if abs(disc_val) == 2:
         return InvertibilityResult(False, "band_edge", {"disc": disc_val})
     # propagate the Dirichlet data to the junction, exactly
-    u = (Fraction(0), Fraction(1))
+    u = (Fraction(0), Fraction(1))  # so the multiplier division is exact
     m_in = transfer_product(p, zf, 0, junction - 1)  # identity if junction <= 0
     u = m_in.apply(u)
     w = m.apply(u)
@@ -244,7 +244,7 @@ def _rotation_condition(word, z, compress, integer_certificates):
     compress = "plus" tests the word as written on [0, inf); "minus" tests
     the compression to (-inf, -1], which after the reflection n -> -1 - n is
     the plus-compression of the reversed word. integer_certificates (integer
-    word, z a Fraction of denominator 1) adds monodromy_dirichlet_test.
+    word, integral z) adds monodromy_dirichlet_test.
     """
     w = tuple(reversed(word)) if compress == "minus" else tuple(word)
     q = len(w)
@@ -289,7 +289,7 @@ def full_line_kernel_scan(p, z):
     excluded numerically.
     """
     lw, rw, lj, rj = _side_words(p)
-    zf = float(to_fraction(z))
+    zf = float(to_exact(z))
 
     def transport_to_zero(vec, site):
         x, y = vec
@@ -366,7 +366,7 @@ def fsm_applicability(p, z=0, operator="full_line"):
     if operator not in ("full_line", "half_line"):
         raise ValueError("operator must be full_line or half_line")
     lw, rw, _, _ = _side_words(p)
-    zf = to_fraction(z)
+    zf = to_exact(z)
     if p.regime not in (INTEGER, RATIONAL):
         raise RegimeError("applicability analysis is exact-only")
     integer_certs = p.regime == INTEGER and zf.denominator == 1

@@ -1,7 +1,8 @@
 """Potentials on the integer lattice.
 
-A potential is a total, deterministic map Z -> scalars in a declared regime
-(see scalars.py). Five families are supported:
+A potential is a total, deterministic map Z -> scalars. Its values are kept
+exactly as given, and its regime (see scalars.py) is read off them: the
+strongest regime among its values. Five families are supported:
 
 - periodic: word repeated over Z with a phase,
 - eventually_periodic: a finite core with periodic words tiling both sides,
@@ -21,15 +22,13 @@ potentials build it with numpy when their indices fit in 64 bits.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from math import isqrt
 
 import numpy as np
 
 from .prng import counter_value, splitmix64
-from .scalars import (INTEGER, REGIMES, RegimeError, _require_int, coerce,
-                      decode_scalar, decode_scalar_any, encode_scalar,
-                      join_regimes, regime_of)
+from .scalars import (INTEGER, _require_int, decode_scalar_any, encode_scalar,
+                      regime_of_all)
 
 
 def _floor_golden_multiple(n):
@@ -66,12 +65,13 @@ def _fibonacci_array(lo, hi):
     return np.diff(np.where(k >= 0, f, -f - 1)).astype(float)
 
 
-def _coerce_word(values, regime):
-    return tuple(coerce(v, regime) for v in values)
-
-
-def _infer_regime(values):
-    return reduce(join_regimes, map(regime_of, values), INTEGER)
+def _keep_values(p, names, *extra):
+    """Store the named value fields of p as tuples, as given, and set
+    p.regime from them and the extra values."""
+    words = tuple(tuple(getattr(p, name)) for name in names)
+    for name, word in zip(names, words):
+        object.__setattr__(p, name, word)
+    object.__setattr__(p, "regime", regime_of_all(sum(words, extra)))
 
 
 class Potential:
@@ -103,13 +103,13 @@ class PeriodicPotential(Potential):
 
     word: tuple
     phase: int = 0
-    regime: str = INTEGER
+    regime: str = field(default=INTEGER, init=False)
     kind: str = field(default="periodic", init=False)
 
     def __post_init__(self):
         if not self.word:
             raise ValueError("periodic word must be nonempty")
-        object.__setattr__(self, "word", _coerce_word(self.word, self.regime))
+        _keep_values(self, ("word",))
         object.__setattr__(self, "phase", self.phase % len(self.word))
 
     @property
@@ -132,9 +132,8 @@ class PeriodicPotential(Potential):
                        phase=(1 - self.phase) % len(self.word))
 
     def to_json(self):
-        return {"kind": "periodic", "regime": self.regime,
-                "word": [encode_scalar(v) for v in self.word],
-                "phase": self.phase}
+        return {"kind": "periodic", "phase": self.phase,
+                "word": [encode_scalar(v) for v in self.word]}
 
 
 @dataclass(frozen=True)
@@ -150,15 +149,13 @@ class EventuallyPeriodicPotential(Potential):
     core: tuple
     core_start: int
     right_word: tuple
-    regime: str = INTEGER
+    regime: str = field(default=INTEGER, init=False)
     kind: str = field(default="eventually_periodic", init=False)
 
     def __post_init__(self):
         if not self.left_word or not self.right_word:
             raise ValueError("side words must be nonempty")
-        object.__setattr__(self, "left_word", _coerce_word(self.left_word, self.regime))
-        object.__setattr__(self, "core", _coerce_word(self.core, self.regime))
-        object.__setattr__(self, "right_word", _coerce_word(self.right_word, self.regime))
+        _keep_values(self, ("left_word", "core", "right_word"))
 
     @property
     def right_start(self):
@@ -182,10 +179,9 @@ class EventuallyPeriodicPotential(Potential):
                        right_word=self.left_word[::-1])
 
     def to_json(self):
-        return {"kind": "eventually_periodic", "regime": self.regime,
+        return {"kind": "eventually_periodic", "core_start": self.core_start,
                 "left_word": [encode_scalar(v) for v in self.left_word],
                 "core": [encode_scalar(v) for v in self.core],
-                "core_start": self.core_start,
                 "right_word": [encode_scalar(v) for v in self.right_word]}
 
 
@@ -223,9 +219,8 @@ class SturmianPotential(Potential):
         return replace(self, orientation=-self.orientation)
 
     def to_json(self):
-        return {"kind": "sturmian", "regime": self.regime,
-                "slope": "golden-ratio", "offset": self.offset,
-                "orientation": self.orientation}
+        return {"kind": "sturmian", "slope": "golden-ratio",
+                "offset": self.offset, "orientation": self.orientation}
 
 
 @dataclass(frozen=True)
@@ -235,12 +230,11 @@ class ExplicitPotential(Potential):
     values: tuple
     start: int
     outside: object = 0
-    regime: str = INTEGER
+    regime: str = field(default=INTEGER, init=False)
     kind: str = field(default="explicit", init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_word(self.values, self.regime))
-        object.__setattr__(self, "outside", coerce(self.outside, self.regime))
+        _keep_values(self, ("values",), self.outside)
 
     def value(self, n):
         i = n - self.start
@@ -256,9 +250,9 @@ class ExplicitPotential(Potential):
                        start=-(self.start + len(self.values) - 1))
 
     def to_json(self):
-        return {"kind": "explicit", "regime": self.regime,
+        return {"kind": "explicit", "start": self.start,
                 "window": [encode_scalar(v) for v in self.values],
-                "start": self.start, "outside": encode_scalar(self.outside)}
+                "outside": encode_scalar(self.outside)}
 
 
 @dataclass(frozen=True)
@@ -274,7 +268,7 @@ class RandomPotential(Potential):
     values: tuple
     index_offset: int = 0
     orientation: int = 1
-    regime: str = INTEGER
+    regime: str = field(default=INTEGER, init=False)
     kind: str = field(default="random", init=False)
 
     def __post_init__(self):
@@ -284,7 +278,7 @@ class RandomPotential(Potential):
             raise ValueError("value set must be nonempty")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +-1")
-        object.__setattr__(self, "values", _coerce_word(self.values, self.regime))
+        _keep_values(self, ("values",))
 
     def value(self, n):
         i = self.orientation * n + self.index_offset
@@ -310,37 +304,30 @@ class RandomPotential(Potential):
         return replace(self, orientation=-self.orientation)
 
     def to_json(self):
-        return {"kind": "random", "regime": self.regime, "seed": self.seed,
+        return {"kind": "random", "seed": self.seed,
                 "values": [encode_scalar(v) for v in self.values],
                 "index_offset": self.index_offset,
                 "orientation": self.orientation}
 
 
-def periodic(word, phase=0, regime=None):
-    """Build a periodic potential, inferring the regime when not given."""
-    word = tuple(word)
-    return PeriodicPotential(word, phase, regime or _infer_regime(word))
+def periodic(word, phase=0):
+    return PeriodicPotential(word, phase)
 
 
-def eventually_periodic(left_word, core, core_start, right_word, regime=None):
-    left_word, core, right_word = tuple(left_word), tuple(core), tuple(right_word)
-    r = regime or _infer_regime(left_word + core + right_word)
-    return EventuallyPeriodicPotential(left_word, core, core_start, right_word, r)
+def eventually_periodic(left_word, core, core_start, right_word):
+    return EventuallyPeriodicPotential(left_word, core, core_start, right_word)
 
 
 def sturmian(offset=0, orientation=1):
     return SturmianPotential(offset, orientation)
 
 
-def explicit(values, start=0, outside=0, regime=None):
-    values = tuple(values)
-    r = regime or _infer_regime(values + (outside,))
-    return ExplicitPotential(values, start, outside, r)
+def explicit(values, start=0, outside=0):
+    return ExplicitPotential(values, start, outside)
 
 
-def random_values(seed, values, regime=None):
-    values = tuple(values)
-    return RandomPotential(seed, values, regime=regime or _infer_regime(values))
+def random_values(seed, values):
+    return RandomPotential(seed, values)
 
 
 def reflect(p):
@@ -354,45 +341,37 @@ def shift(p, k):
 def potential_from_json(doc):
     """Rebuild any potential family from its to_json document.
 
-    A declared "regime" field makes decoding strict; without one the regime
-    is inferred from the entries (handy for hand-written configs). Words
-    must be arrays: a string is not read as its characters.
+    Entries read as written (numbers as numbers, "p/q" strings as exact
+    rationals), and the regime is read off them; the document names none.
+    Words must be arrays: a string is not read as its characters.
     """
     kind = doc.get("kind")
-    declared = "regime" in doc
-    regime = doc.get("regime", INTEGER)
-    if regime not in REGIMES:
-        raise RegimeError("unknown regime %r" % (regime,))
-    given = regime if declared else None
-
-    def dec1(v):
-        return decode_scalar(v, regime) if declared else decode_scalar_any(v)
 
     def dec(name, default=None):
         vs = doc.get(name, default)
         if not isinstance(vs, (list, tuple)):
             raise ValueError("%s must be an array, got %r" % (name, vs))
-        return tuple(dec1(v) for v in vs)
+        return tuple(map(decode_scalar_any, vs))
 
     def index(name, default=None):
         return _require_int(doc.get(name, default),
                             "%s must be an integer" % name)
 
     if kind == "periodic":
-        return periodic(dec("word"), index("phase", 0), given)
+        return periodic(dec("word"), index("phase", 0))
     if kind == "eventually_periodic":
         return eventually_periodic(
             dec("left_word"), dec("core", []),
-            index("core_start"), dec("right_word"), given)
+            index("core_start"), dec("right_word"))
     if kind == "sturmian":
         if doc.get("slope", "golden-ratio") != "golden-ratio":
             raise ValueError("unsupported sturmian slope %r" % doc.get("slope"))
         return SturmianPotential(index("offset", 0), index("orientation", 1))
     if kind == "explicit":
         return explicit(dec("window"), index("start"),
-                        dec1(doc.get("outside", 0)), given)
+                        decode_scalar_any(doc.get("outside", 0)))
     if kind == "random":
-        base = random_values(index("seed"), dec("values"), given)
-        return replace(base, index_offset=index("index_offset", 0),
-                       orientation=index("orientation", 1))
+        return RandomPotential(index("seed"), dec("values"),
+                               index("index_offset", 0),
+                               index("orientation", 1))
     raise ValueError("unknown potential kind %r" % (kind,))

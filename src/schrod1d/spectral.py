@@ -32,7 +32,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from . import polynomials as pl
 from .potential import PeriodicPotential
-from .scalars import to_fraction
+from .scalars import to_exact
 from .transfer import Discriminant, discriminant, symbolic_monodromy
 
 EDGE_WIDTH = Fraction(1, 2 ** 60)
@@ -82,7 +82,7 @@ class BandSet:
         and the (band or gap) index where applicable. Floats are converted to
         exact rationals first, so the answer never depends on edge rounding.
         """
-        zf = to_fraction(z)
+        zf = to_exact(z)
         val = self.disc.value(zf)
         if abs(val) < 2:
             for b, (i, j) in enumerate(self.band_edge_pairs):
@@ -119,7 +119,7 @@ class BandSet:
         loc = self.locate(z)
         if loc["kind"] in ("band", "edge"):
             return 0.0
-        zf = to_fraction(z)
+        zf = to_exact(z)
         if loc["kind"] == "below":
             return float(self.edges[self.band_edge_pairs[0][0]].lo - zf)
         if loc["kind"] == "above":
@@ -247,7 +247,6 @@ class DirichletEigenvalue:
     approx: float
     location: str  # "gap", "below" or "above"
     gap_index: object  # int for finite gaps, None otherwise
-    m22_side: int  # sign of m22 at the root (+1 decaying positive branch)
 
 
 @dataclass(frozen=True)
@@ -289,21 +288,16 @@ def dirichlet_eigenvalues(p):
         m22sq1 = pl.psub(pl.pmul(m22, m22), pl.constant(1))
         boundary = pl.pgcd(m12, m22sq1)
         section = _eigenvalue_guesses(bs.disc.word[:-1], (0,))
-        chains = None  # Tarski chains of (m12, m22^2 - 1) and (m12, m22)
+        chain = None  # Tarski chain of (m12, m22^2 - 1)
         for lo, hi in pl.isolate_real_roots(m12):
             if lo == hi:
-                val = pl.peval(m22, lo)
-                keep = abs(val) < 1
-                side = pl.sign(val)
+                keep = abs(pl.peval(m22, lo)) < 1
             elif pl.degree(boundary) >= 1 and pl.count_roots_in(boundary, lo, hi):
                 keep = False  # |m22| = 1 exactly: band edge, no eigenvalue
-                side = None
             else:
-                if chains is None:
-                    chains = (pl.tarski_chain(m12, m22sq1),
-                              pl.tarski_chain(m12, m22))
-                keep = pl.sign_at_root(chains[0], lo, hi) < 0
-                side = pl.sign_at_root(chains[1], lo, hi)
+                if chain is None:
+                    chain = pl.tarski_chain(m12, m22sq1)
+                keep = pl.sign_at_root(chain, lo, hi) < 0
             lo, hi = pl.refine_root(m12, lo, hi, EDGE_WIDTH,
                                     guess=_guess(section, lo, hi))
             mid = (lo + hi) / 2
@@ -317,7 +311,7 @@ def dirichlet_eigenvalues(p):
             location = loc["kind"] if loc["kind"] in ("below", "above") else "gap"
             eigs.append(DirichletEigenvalue(
                 lo=lo, hi=hi, approx=approx, location=location,
-                gap_index=loc["index"], m22_side=side))
+                gap_index=loc["index"]))
     per_gap = Counter((e.location, e.gap_index) for e in eigs)
     warnings = ["multiple Dirichlet eigenvalues share gap %r" % (key,)
                 for key, cnt in per_gap.items() if cnt > 1]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import polynomials as pl
 from .potential import PeriodicPotential
-from .scalars import INTEGER, RATIONAL, RegimeError, regime_of, to_fraction
+from .scalars import INTEGER, RATIONAL, RegimeError, regime_of, to_exact
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class Discriminant:
     word: tuple = field(default=None, compare=False, repr=False)
 
     def value(self, z):
-        return pl.peval(self.coeffs, to_fraction(z))
+        return pl.peval(self.coeffs, to_exact(z))
 
     @property
     def degree(self):

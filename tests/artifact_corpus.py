@@ -11,13 +11,15 @@ The corpus covers the `band-structure` words of seeds 1-3, rounds 0-2, the
 `fsm` configs of seed 1, round 0 of `fsm-large` (see bench/workloads.py),
 the four reproductions, and the `fsm-corpus` job of seed 10, round 27, slot
 q3 as an `fsm --expect applicable_observed` run: word (-3, 0, 0), whose
-first full-line section [-1, 1] is singular although the FSM applies. `bands` and `reproduce fibonacci-prefix`
+first full-line section [-1, 1] is singular although the FSM applies.
+`bands`, `reproduce fibonacci-prefix` and `reproduce integer-avoidance`
 outputs depend on exact arithmetic only; the `fsm` entries and the other
 reproductions also hold LAPACK floats, so their digests are those of one
 numpy/scipy build: numpy 2.4.6 and scipy 1.17.1 on x86-64, the versions the
 `tests` job of .github/workflows/tests.yml installs.
 
-tests/test_artifact_corpus.py runs a fixed slice; run every entry with
+tests/test_artifact_corpus.py runs those exact-only entries; run every
+entry with
 
     PYTHONPATH=src python tests/artifact_corpus.py
 """

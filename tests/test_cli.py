@@ -262,30 +262,18 @@ MALFORMED = [
     pytest.param("bands", _word([[1, 1], 2]), id="bands-gaussian-word"),
     pytest.param("fsm", dict(_fsm_doc(), **_word([[1, 1], 2])),
                  id="fsm-gaussian-word"),
-    pytest.param("fsm", dict(_fsm_doc(), **_word([[1, 1], 2],
-                                                  regime="gaussian_integer")),
-                 id="fsm-gaussian-declared"),
     pytest.param("fsm", _fsm_doc(z=[1, 1]), id="fsm-z-pair"),
     pytest.param("fsm", dict(_fsm_doc(), **_word([10 ** 400, 1])),
                  id="fsm-huge-int-word"),
     pytest.param("bands", _word(["1/0", 1]), id="bands-zero-denominator"),
-    pytest.param("bands", _word(["1/0", 1], regime="rational"),
-                 id="bands-zero-denominator-rational"),
     pytest.param("fsm", dict(_fsm_doc(), **_word(["1/0", 1])),
                  id="fsm-zero-denominator"),
-    pytest.param("fsm", dict(_fsm_doc(), **_word(["1/0", 1],
-                                                  regime="rational")),
-                 id="fsm-zero-denominator-rational"),
     pytest.param("fsm", _fsm_doc(z=float("nan")), id="fsm-z-nan"),
     pytest.param("fsm", _fsm_doc(z=float("inf")), id="fsm-z-infinity"),
     pytest.param("fsm", dict(_fsm_doc(), **_word([float("nan"), 1])),
                  id="fsm-nan-word"),
-    pytest.param("fsm", dict(_fsm_doc(), **_word([float("inf"), 1],
-                                                  regime="float")),
-                 id="fsm-infinite-word-float"),
-    pytest.param("fsm", dict(_fsm_doc(), **_word([10 ** 400, 1],
-                                                  regime="float")),
-                 id="fsm-huge-int-word-float"),
+    pytest.param("fsm", dict(_fsm_doc(), **_word([float("inf"), 1])),
+                 id="fsm-infinite-word"),
     pytest.param("fsm", dict(_fsm_doc(), potential={
         "kind": "explicit", "window": [1], "start": "x"}),
         id="explicit-start-x"),
@@ -354,18 +342,34 @@ def test_malformed_config_is_a_usage_error(tmp_path, command, doc):
     ("bands", _word([[1, 1], 2]), "cannot decode scalar [1, 1]"),
     ("fsm", dict(_fsm_doc(), **_word([[1, 1], 2])),
      "cannot decode scalar [1, 1]"),
-    ("fsm", dict(_fsm_doc(), **_word([[1, 1], 2], regime="gaussian_integer")),
-     "unknown regime 'gaussian_integer'"),
+    ("fsm", dict(_fsm_doc(), **_word([1, 2], regime="gaussian_integer")),
+     "unknown key 'regime'"),
     ("fsm", _fsm_doc(z=[1, 1]), "cannot decode scalar [1, 1]"),
 ])
 def test_complex_scalars_are_refused_by_the_decoder(tmp_path, command, doc,
                                                     message):
-    # scalars are real: an [re, im] pair or a complex regime has no reading
+    # scalars are real: an [re, im] pair has no reading, and a config names
+    # no regime, complex or not
     cfg = write_cfg(tmp_path, "c.json", doc)
     out = str(tmp_path / "out")
     rc, lines = _run_main([command, "--config", cfg, "--out", out])
     _assert_usage_error(out, rc, lines)
     assert lines[0] == "error: bad config: " + message
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("bands", _word([1, 2], regime="integer")),
+    ("bands", _word(["1/2", 2], regime="rational")),
+    ("fsm", dict(_fsm_doc(), **_word([4], regime="integer"))),
+    ("fsm", dict(_fsm_doc(), **_word([4.5], regime="float"))),
+])
+def test_a_declared_regime_is_an_unknown_key(tmp_path, command, doc):
+    # the regime is read off the values; a config does not declare one
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    out = str(tmp_path / "out")
+    rc, lines = _run_main([command, "--config", cfg, "--out", out])
+    _assert_usage_error(out, rc, lines)
+    assert lines == ["error: bad config: unknown key 'regime'"]
 
 
 def test_module_entry_point_exits_with_the_usage_error(tmp_path):
@@ -402,8 +406,6 @@ _INDEX = st.integers(-20, 20)
 _FSM_POTENTIALS = st.one_of(
     st.builds(lambda w, k: {"kind": "periodic", "word": w, "phase": k},
               _WORDS, _INDEX),
-    st.builds(lambda w: {"kind": "periodic", "regime": "rational", "word": w},
-              _WORDS),
     st.builds(lambda a, b, c, k: {"kind": "eventually_periodic",
                                   "left_word": a, "core": b, "core_start": k,
                                   "right_word": c},
@@ -446,21 +448,20 @@ def _fsm_configs(draw):
 
 
 _BANDS_CONFIGS = st.builds(
-    lambda w, k, rational: ("bands", {"potential": dict(
-        {"kind": "periodic", "word": w, "phase": k},
-        **({"regime": "rational"} if rational else {}))}),
+    lambda w, k: ("bands", {"potential": {"kind": "periodic", "word": w,
+                                          "phase": k}}),
     st.lists(st.sampled_from([0, 1, -2, 3, "1/2", "-3/2"]), min_size=1,
              max_size=4),
-    _INDEX, st.booleans())
+    _INDEX)
 
 # keys that may be left out of the top level, a cutoff or rhs document,
 # and a potential document
 _OPTIONAL_KEYS = {"z", "rhs", "count", "start", "step", "ratio", "site"}
-_OPTIONAL_POTENTIAL_KEYS = {"phase", "regime", "core", "outside",
-                            "index_offset", "orientation"}
+_OPTIONAL_POTENTIAL_KEYS = {"phase", "core", "outside", "index_offset",
+                            "orientation"}
 # never a key of the object it is added to: keys of other objects, or none
 _FOREIGN_KEYS = ["out", "expect", "exploratory", "phse", "z", "count",
-                 "left", "step", "values"]
+                 "left", "step", "values", "regime"]
 
 
 def _paths(doc, path=()):

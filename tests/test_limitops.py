@@ -97,6 +97,15 @@ def test_halfline_invertibility_statuses():
     assert res.detail["multiplier"] == F(1, 2)
 
 
+def test_integer_word_at_integer_z_stays_in_int_arithmetic():
+    # the trace runs on ints; only the Dirichlet data are Fractions, so the
+    # multiplier division stays exact
+    res = lo.halfline_invertible(pot.periodic([3, -1]), 0)
+    assert res.status == "invertible"
+    assert type(res.detail["disc"]) is int and res.detail["disc"] == -5
+    assert type(res.detail["wronskian"]) is F
+
+
 def test_applicability_constant_gap_point():
     rep = lo.fsm_applicability(pot.periodic([4]), 0)
     assert rep.operator == "full_line"

@@ -54,10 +54,12 @@ def test_json_round_trip(p):
 
 @pytest.mark.parametrize("p", family_examples())
 def test_json_regime_inference(p):
-    # configs may omit the regime tag; decoding infers it from the values
-    doc = {k: v for k, v in p.to_json().items() if k != "regime"}
+    # documents name no regime; decoding reads it off the values
+    doc = p.to_json()
+    assert "regime" not in doc
     q = pot.potential_from_json(doc)
     assert window(q, -20, 20) == window(p, -20, 20)
+    assert q.regime == p.regime
 
 
 def test_periodic_word_and_phase():
@@ -116,6 +118,22 @@ def test_regime_inference():
     assert pot.periodic([1, 2]).regime == INTEGER
     assert pot.periodic([1, F(1, 2)]).regime == RATIONAL
     assert pot.periodic([1, 0.5]).regime == FLOAT
+
+
+def test_values_are_kept_as_given():
+    # no coercion into the strongest regime: an int stays an int
+    p = pot.periodic([1, F(1, 2)])
+    assert type(p.word[0]) is int and p.word[0] == 1
+    assert p.regime == RATIONAL
+    q = pot.explicit([2, 3], outside=0.5)
+    assert [type(v) for v in q.values + (q.outside,)] == [int, int, float]
+    assert q.regime == FLOAT
+    r = pot.eventually_periodic([1], [F(3, 2)], 0, [2])
+    assert type(r.value(-1)) is int and r.regime == RATIONAL
+    assert pot.random_values(5, [F(1, 2), 1.0]).values == (F(1, 2), 1.0)
+    for build in (pot.periodic, pot.PeriodicPotential):
+        with pytest.raises(TypeError):
+            build([1], 0, RATIONAL)
 
 
 def test_rejected_values():

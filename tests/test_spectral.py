@@ -142,15 +142,14 @@ def test_dirichlet_eigenvalue_exact_zero():
     e = ds.eigenvalues[0]
     assert e.lo == e.hi == 0
     assert e.location == "gap" and e.gap_index == 0
-    assert e.m22_side == 1
     assert ds.rejected == (2.5,)
     assert ds.warnings == ()
 
 
 @pytest.mark.parametrize("word", [(2, -1, 3), (0, 1, 3)])
 def test_dirichlet_irrational_root_m22_side(word):
-    # irrational roots of m12 take the Tarski-query path; m22 there has the
-    # sign of the numeric monodromy at the approximation
+    # irrational roots of m12 take the Tarski-query path; the numeric
+    # monodromy at the approximation confirms |m22| < 1 there
     p = pot.periodic(word)
     ds = sp.dirichlet_eigenvalues(p)
     irrational = [e for e in ds.eigenvalues if e.lo != e.hi]
@@ -158,7 +157,6 @@ def test_dirichlet_irrational_root_m22_side(word):
     for e in irrational:
         m22 = tr.monodromy(p, e.approx).d
         assert abs(m22) < 1
-        assert e.m22_side == (1 if m22 > 0 else -1)
 
 
 def test_dirichlet_none_for_constant():
