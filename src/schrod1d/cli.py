@@ -11,6 +11,7 @@ the same config produces byte-identical files.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,7 +38,8 @@ class UsageError(Exception):
 
 class _Object(dict):
     """A JSON object of a config that records the keys looked up through
-    get, the way every config reader, potential_from_json too, reads one."""
+    get, the way every config reader reads one. potential_from_json also
+    refuses the keys it does not read on its own."""
 
     def __init__(self, doc):
         super().__init__(doc)
@@ -249,7 +251,6 @@ def build_parser():
     b = sub.add_parser("bands", help="band structure and Dirichlet spectrum")
     b.add_argument("--config", required=True)
     b.add_argument("--out")
-    b.set_defaults(func=cmd_bands)
 
     f = sub.add_parser("fsm", help="run the finite section method")
     f.add_argument("--config", required=True)
@@ -258,22 +259,26 @@ def build_parser():
                                         "failure_observed", "inconclusive"])
     f.add_argument("--exploratory", action="store_true",
                    help="write the report but never fail on the verdict")
-    f.set_defaults(func=cmd_fsm)
 
     r = sub.add_parser("reproduce", help="run a named reproduction")
     r.add_argument("name", choices=sorted(REPRODUCTIONS))
     r.add_argument("--out")
     r.add_argument("--seed", type=int)
     r.add_argument("--count", type=int)
-    r.set_defaults(func=cmd_reproduce)
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so a rebound cmd_* function is the one run
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (UsageError, CrossValidationError, SpectralStructureError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_FAILED

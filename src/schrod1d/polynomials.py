@@ -21,9 +21,13 @@ the cell of the bisection tree the loop would end in, and the integer signs
 at the two ends of that cell accept it; a guess only saves work, it never
 decides the answer.
 
-Root isolation follows the classical Sturm bisection: build the Sturm chain
-of the polynomial, count sign variations at rational points, split until
-each interval holds exactly one root. A Sturm chain counts distinct roots
+Root isolation bisects a tree of dyadic intervals over the Cauchy bound,
+reading at each rational point only how many distinct roots lie above it
+and whether the polynomial vanishes there, and splits until each interval
+holds exactly one root. Any exact counter of those two answers gives the
+same intervals. `spectral` passes counters that read them off one integer
+run of the transfer recurrence; without one, the classical Sturm chain of
+the polynomial counts sign variations. A Sturm chain counts distinct roots
 whether or not the polynomial is square-free, and the roots of gcd(c, c')
 are the multiple roots of c, so the gcd tower c, gcd(c, c'), ... counts
 roots with multiplicity. Exact rational roots hit by a bisection midpoint
@@ -299,27 +303,50 @@ def cauchy_bound(c):
     return Fraction(1) + m / lead
 
 
-def isolate_real_roots(c):
+def sturm_counter(c):
+    """The Sturm chain of c as a root counter for isolate_real_roots.
+
+    counter(a, d) returns (n, s) at x = a/d, d > 0: n is the number of
+    distinct real roots of c above x and s the sign of c at x.
+    """
+    chain = sturm_chain(c)
+    # the signs far right are those of the leading coefficients
+    top = sum(f[-1] * g[-1] < 0 for f, g in zip(chain, chain[1:]))
+
+    def counter(a, d):
+        v, s = _sturm_at(chain, a, d)
+        return v - top, s
+    return counter
+
+
+def isolate_real_roots(c, counter=None):
     """Disjoint isolating intervals for the distinct real roots of c.
 
     Returns an ordered list of (lo, hi) Fraction pairs; lo == hi marks an
     exact rational root, otherwise the open interval (lo, hi) contains
     exactly one distinct root of c and its endpoints are not roots.
+
+    counter(a, d) -> (n, s) is the exact oracle the walk reads at x = a/d:
+    n(x1) - n(x2) must be the number of distinct roots of c in (x1, x2],
+    and s must be 0 exactly when c(a/d) = 0. The walk reads nothing else,
+    so every exact counter gives the same intervals. The default is the
+    Sturm chain of c.
     """
     if degree(c) <= 0:
         return []
-    chain = sturm_chain(c)
+    if counter is None:
+        counter = sturm_counter(c)
     bound = cauchy_bound(c)
     out = []
 
-    # an interval is (a, b, d, V(a/d), V(b/d), sign of c at b/d)
+    # an interval is (a, b, d, n(a/d), n(b/d), sign of c at b/d)
     def split_at_root(a, b, d, va, vb, sb):
         # the midpoint is an exact root: shrink a symmetric gap around it,
         # with points over den, until the gap holds only that root
         den, mid, w = 4 * d, 2 * (a + b), b - a
         while True:
-            vx, sx = _sturm_at(chain, mid - w, den)
-            vy, sy = _sturm_at(chain, mid + w, den)
+            vx, sx = counter(mid - w, den)
+            vy, sy = counter(mid + w, den)
             if sx and sy and vx - vy == 1:
                 s = den // d
                 return [(a * s, mid - w, den, va, vx, sx),
@@ -328,8 +355,8 @@ def isolate_real_roots(c):
             den *= 2
 
     n0, d0 = bound.numerator, bound.denominator
-    vlo = _sturm_at(chain, -n0, d0)[0]
-    vhi, shi = _sturm_at(chain, n0, d0)
+    vlo = counter(-n0, d0)[0]
+    vhi, shi = counter(n0, d0)
     stack = [(-n0, n0, d0, vlo, vhi, shi)]
     while stack:
         a, b, d, va, vb, sb = stack.pop()
@@ -340,7 +367,7 @@ def isolate_real_roots(c):
             out.append((Fraction(a, d), Fraction(b, d)))
             continue
         m, d2 = a + b, 2 * d
-        vm, sm = _sturm_at(chain, m, d2)
+        vm, sm = counter(m, d2)
         if sm == 0:
             r = Fraction(m, d2)
             out.append((r, r))

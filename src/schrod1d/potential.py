@@ -343,35 +343,45 @@ def potential_from_json(doc):
 
     Entries read as written (numbers as numbers, "p/q" strings as exact
     rationals), and the regime is read off them; the document names none.
-    Words must be arrays: a string is not read as its characters.
+    Words must be arrays: a string is not read as its characters. A key the
+    family does not read is refused, so a misspelt or stale key is never
+    dropped silently.
     """
-    kind = doc.get("kind")
+    read = {"kind"}
+
+    def get(name, default=None):
+        read.add(name)
+        return doc.get(name, default)
 
     def dec(name, default=None):
-        vs = doc.get(name, default)
+        vs = get(name, default)
         if not isinstance(vs, (list, tuple)):
             raise ValueError("%s must be an array, got %r" % (name, vs))
         return tuple(map(decode_scalar_any, vs))
 
     def index(name, default=None):
-        return _require_int(doc.get(name, default),
-                            "%s must be an integer" % name)
+        return _require_int(get(name, default), "%s must be an integer" % name)
 
+    kind = doc.get("kind")
     if kind == "periodic":
-        return periodic(dec("word"), index("phase", 0))
-    if kind == "eventually_periodic":
-        return eventually_periodic(
+        p = periodic(dec("word"), index("phase", 0))
+    elif kind == "eventually_periodic":
+        p = eventually_periodic(
             dec("left_word"), dec("core", []),
             index("core_start"), dec("right_word"))
-    if kind == "sturmian":
-        if doc.get("slope", "golden-ratio") != "golden-ratio":
+    elif kind == "sturmian":
+        if get("slope", "golden-ratio") != "golden-ratio":
             raise ValueError("unsupported sturmian slope %r" % doc.get("slope"))
-        return SturmianPotential(index("offset", 0), index("orientation", 1))
-    if kind == "explicit":
-        return explicit(dec("window"), index("start"),
-                        decode_scalar_any(doc.get("outside", 0)))
-    if kind == "random":
-        return RandomPotential(index("seed"), dec("values"),
-                               index("index_offset", 0),
-                               index("orientation", 1))
-    raise ValueError("unknown potential kind %r" % (kind,))
+        p = SturmianPotential(index("offset", 0), index("orientation", 1))
+    elif kind == "explicit":
+        p = explicit(dec("window"), index("start"),
+                     decode_scalar_any(get("outside", 0)))
+    elif kind == "random":
+        p = RandomPotential(index("seed"), dec("values"),
+                            index("index_offset", 0), index("orientation", 1))
+    else:
+        raise ValueError("unknown potential kind %r" % (kind,))
+    unknown = set(doc) - read
+    if unknown:
+        raise ValueError("unknown key %r" % min(unknown, key=str))
+    return p

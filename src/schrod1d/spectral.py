@@ -5,9 +5,15 @@ For a periodic potential the spectrum of the full-line operator is the set
 most `period` closed bands. The half-line compression with a Dirichlet
 condition adds at most one eigenvalue per spectral gap, located exactly by
 m12(z) = 0 together with |m22(z)| < 1 for the one-period transfer aligned at
-the cut. The exact side uses Sturm chains (integer pseudo-remainder
-sequences), and the sign of m22 at a root of m12 is a Tarski query
-(Sylvester's theorem). The floating-point side uses LAPACK on symmetric
+the cut. The exact side isolates band edges and roots of m12 by counting
+eigenvalues: one integer run of the transfer recurrence over the period at
+a rational point gives the node count of the section [0, q - 2] and the
+signs of m12 and disc -+ 2, and inertia additivity and interlacing turn
+them into the number of Floquet eigenvalues above the point (see
+`_edge_counter`). Sturm chains (integer pseudo-remainder sequences) count
+the closed-gap points, the roots of discriminants that carry no word, and
+the sign of m22 at a root of m12, a Tarski query (Sylvester's theorem).
+The floating-point side uses LAPACK on symmetric
 tridiagonal sections: whole truncation spectra by the root-free QL/QR
 algorithm (sterf), and the two eigenvalues next to a point by bisection with
 index selection (stebz).
@@ -33,7 +39,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from . import polynomials as pl
 from .potential import PeriodicPotential
 from .scalars import to_exact
-from .transfer import Discriminant, discriminant, symbolic_monodromy
+from .transfer import Discriminant, discriminant
 
 EDGE_WIDTH = Fraction(1, 2 ** 60)
 
@@ -51,7 +57,10 @@ class EdgeRoot:
 
     @property
     def approx(self):
-        return float((self.lo + self.hi) / 2)
+        try:
+            return float((self.lo + self.hi) / 2)
+        except OverflowError:
+            raise ValueError("band edge beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -170,12 +179,122 @@ def _guess(values, lo, hi):
     return values[j] if j < len(values) and values[j] <= hi else None
 
 
+def _integer_word(word):
+    """(numerators, common denominator) of a rational word."""
+    word = [Fraction(v) for v in word]
+    den = math.lcm(*(v.denominator for v in word))
+    return [v.numerator * (den // v.denominator) for v in word], den
+
+
+def _orbit(num, den, a, d, start):
+    """u_{-1}, u_0, ..., u_q of u_{k+1} = (x - v_k) u_k - u_{k-1} over one
+    period at x = a/d (d > 0), from (u_{-1}, u_0) = start, for the word
+    v_k = num[k] / den, as integers with the signs of the u_k: with
+    D = d * den, the start (0, 1) gives D^k u_k and (1, 0) gives
+    D^(k+1) u_k.
+
+    From (0, 1), u_k is det(x - section [0, k - 1]) and (u_{q-1}, u_q) =
+    (m12, m22); from (1, 0), -u_k is det(x - section [1, k - 1]) and
+    (u_{q-1}, u_q) = (m11, m21).
+    """
+    s = d * den
+    s2, ad = s * s, a * den
+    prev, cur = start
+    out = [prev, cur]
+    for n in num:
+        prev, cur = cur, (ad - n * d) * cur - s2 * prev
+        out.append(cur)
+    return out
+
+
+def _nodes(values):
+    """Sign changes along values, zeros dropped as in a Sturm chain.
+
+    Along leading principal minors of x - J, for a Jacobi matrix J with
+    nonzero off-diagonals, this counts the eigenvalues of J above x
+    (Wilkinson 1965, ch. 5). A zero minor sits between two of opposite
+    sign, and at an eigenvalue x of J the last minor is 0 and the rest
+    count J's eigenvalues above x by strict interlacing, so the count is
+    exact at every x.
+    """
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _dirichlet_counter(word):
+    """Root counter of m12 for pl.isolate_real_roots, from one orbit.
+
+    m12 = det(x - T) for T the section [0, q - 2]; its roots are T's simple
+    eigenvalues, and those above x are the nodes of u_0, ..., u_{q-1}.
+    """
+    num, den = _integer_word(word)
+    q = len(num)
+
+    def counter(a, d):
+        u = _orbit(num, den, a, d, (0, 1))
+        return _nodes(u[1:q + 1]), (u[q] > 0) - (u[q] < 0)
+    return counter
+
+
+def _edge_counter(d):
+    """Root counter of square_free(disc^2 - 4) for pl.isolate_real_roots,
+    from orbits of the discriminant's word.
+
+    The roots of disc -+ 2 are the eigenvalues of the periodic and
+    antiperiodic Floquet matrices J_+ and J_-: det(x - J_theta) =
+    disc(x) - 2 cos theta (Teschl 2000, ch. 7). Each J is the section T =
+    [0, q - 2] bordered by site q - 1. Where m12(x) = det(x - T) is not 0,
+    inertia additivity (Haynsworth 1968) gives J as many eigenvalues above x
+    as T, plus one when the Schur complement det(J - x) / det(T - x), of
+    the sign of -(disc(x) -+ 2) m12(x), is positive. Where x is an
+    eigenvalue of T but not of J, Cauchy interlacing gives J one more
+    eigenvalue above x than T. Where x is an eigenvalue of both, the section
+    [1, q - 1] borders J the same way if m21(x) != 0; otherwise the
+    monodromy is +-I, x is a double eigenvalue of J and J has as many
+    eigenvalues above x as T. A closed-gap point is a double eigenvalue, so
+    the distinct edges above x are the eigenvalues of both J above x less
+    the roots above x of gcd(disc - 2, disc') gcd(disc + 2, disc'), whose
+    Sturm chain is small. Every answer is exact; no chain of disc^2 - 4 is
+    built.
+    """
+    num, den = _integer_word(d.word)
+    q, head = len(num), num[:-1]
+    dp = pl.pderiv(d.coeffs)
+    closed = pl.pmul(pl.pgcd(pl.psub(d.coeffs, pl.constant(2)), dp),
+                     pl.pgcd(pl.padd(d.coeffs, pl.constant(2)), dp))
+    closed = pl.sturm_counter(closed) if pl.degree(closed) >= 1 else None
+
+    def counter(a, b):
+        u = _orbit(num, den, a, b, (0, 1))
+        w = _orbit(head, den, a, b, (1, 0))  # up to m11
+        # disc(x) and 2, both times (b * den)^q
+        disc, two = w[q] + u[q + 1], 2 * (b * den) ** q
+        signs = ((disc > two) - (disc < two), (disc > -two) - (disc < -two))
+        nodes = _nodes(u[1:q + 1])
+        cut = (u[q] > 0) - (u[q] < 0)
+        n = 0
+        for e in signs:
+            if cut:
+                n += nodes + (e * cut < 0)
+            elif e:
+                n += nodes + 1
+            else:
+                w = _orbit(num, den, a, b, (1, 0))
+                n += _nodes(w[2:q + 2]) if w[q + 1] else nodes
+        if closed is not None:
+            n -= closed(a, b)[0]
+        return n, signs[0] * signs[1]
+    return counter
+
+
 def bands(d):
     """Assemble the band structure from a discriminant, exactly.
 
-    Roots of disc^2 - 4 are isolated with Sturm chains and refined to width
-    2^-60, guided by the Floquet eigenvalues when the discriminant carries
-    its word; the sign of disc^2 - 4 at exact rational sample points between
+    Roots of disc^2 - 4 are isolated by counting Floquet eigenvalues with
+    the oscillation counter `_edge_counter` when the discriminant carries
+    its word, and with the Sturm chain otherwise. They are refined to width
+    2^-60, guided by the Floquet eigenvalues as float guesses; the sign of
+    disc^2 - 4 at exact rational sample points between
     consecutive roots decides band versus gap. Bands touching at a closed gap
     are merged. Raises SpectralStructureError if disc^2 - 4 has non-real
     roots, which cannot happen for a real periodic potential.
@@ -189,7 +308,8 @@ def bands(d):
             "disc^2 - 4 must have all roots real (got %d of %d)"
             % (total, pl.degree(f)))
     sf = pl.square_free(f)
-    raw = pl.isolate_real_roots(sf)
+    raw = pl.isolate_real_roots(
+        sf, None if d.word is None else _edge_counter(d))
     if not raw:
         raise SpectralStructureError("discriminant has no band edges")
     floquet = None if d.word is None else _eigenvalue_guesses(d.word, (1, -1))
@@ -264,7 +384,8 @@ class CrossValidationError(AssertionError):
 def dirichlet_eigenvalues(p):
     """Point spectrum of the Dirichlet half-line compression, exact.
 
-    Roots of m12 are isolated over Q; each is kept iff |m22| < 1 there,
+    Roots of m12 are isolated over Q, counted as the nodes of one orbit of
+    the transfer recurrence; each is kept iff |m22| < 1 there,
     decided by a Tarski query on m22^2 - 1. Where m12 = 0, det M = 1 gives
     m11 m22 = 1 and disc^2 - 4 = (m22 - 1/m22)^2, so a root of gcd(m12,
     m22^2 - 1) is a band edge and is rejected. The roots of m12 are refined
@@ -280,8 +401,8 @@ def dirichlet_eigenvalues(p):
     except OverflowError:
         raise ValueError("dirichlet_eigenvalues needs word entries in the "
                          "float range") from None
-    _, m12, _, m22 = symbolic_monodromy(p)
     bs = bands(p)
+    _, m12, _, m22 = bs.disc.monodromy
     eigs = []
     rejected = []
     if pl.degree(m12) >= 1:
@@ -289,7 +410,8 @@ def dirichlet_eigenvalues(p):
         boundary = pl.pgcd(m12, m22sq1)
         section = _eigenvalue_guesses(bs.disc.word[:-1], (0,))
         chain = None  # Tarski chain of (m12, m22^2 - 1)
-        for lo, hi in pl.isolate_real_roots(m12):
+        for lo, hi in pl.isolate_real_roots(
+                m12, _dirichlet_counter(bs.disc.word)):
             if lo == hi:
                 keep = abs(pl.peval(m22, lo)) < 1
             elif pl.degree(boundary) >= 1 and pl.count_roots_in(boundary, lo, hi):

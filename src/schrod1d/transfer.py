@@ -133,14 +133,18 @@ class Discriminant:
     """Floquet discriminant: trace of the symbolic one-period transfer.
 
     coeffs are exact Fractions, ascending; the polynomial is monic of degree
-    equal to the period. word is the period read as v(0), ..., v(period - 1)
-    when the discriminant comes from a potential: `spectral.bands` takes its
-    float edge guesses from it. It is neither compared nor serialised.
+    equal to the period. When the discriminant comes from a potential, word
+    is the period read as v(0), ..., v(period - 1) and monodromy the
+    symbolic transfer (m11, m12, m21, m22) it is the trace of:
+    `spectral.bands` counts and guesses edges from the word, and
+    `spectral.dirichlet_eigenvalues` reads m12 and m22. Neither is compared
+    or serialised.
     """
 
     period: int
     coeffs: tuple
     word: tuple = field(default=None, compare=False, repr=False)
+    monodromy: tuple = field(default=None, compare=False, repr=False)
 
     def value(self, z):
         return pl.peval(self.coeffs, to_exact(z))
@@ -182,12 +186,13 @@ def discriminant(p):
     Monic of degree = period; its value at rational z equals the trace of
     the numeric one-period transfer there.
     """
-    m11, m12, m21, m22 = symbolic_monodromy(p)
-    coeffs = pl.padd(m11, m22)
+    m = symbolic_monodromy(p)
+    coeffs = pl.padd(m[0], m[3])
     assert pl.degree(coeffs) == p.period
     assert coeffs[-1] == 1
     return Discriminant(period=p.period, coeffs=coeffs,
-                        word=tuple(p.value(n) for n in range(p.period)))
+                        word=tuple(p.value(n) for n in range(p.period)),
+                        monodromy=m)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Deliberately different algorithms from the package: determinants by
 fraction-free Bareiss elimination on dense matrices, the golden-mean word
-by explicit block concatenation, closed forms written out directly, and
+by explicit block concatenation, closed forms written out directly,
+Fibonacci discriminants by the trace map instead of transfer products, and
 the Sturm route over Q (Euclidean remainders with Fraction coefficients,
 signs read from exact values) that the package's integer kernels replace,
 Yun's square-free decomposition (Yun 1976) in place of the package's
@@ -99,6 +100,37 @@ def golden_word(length):
     while len(b) < length:
         a, b = b, b + a
     return b[:length]
+
+
+def fibonacci_traces(a, b, count):
+    """Words w_1, ..., w_count and their Floquet discriminants, ascending
+    Fraction coefficient lists, by the Fibonacci trace map.
+
+    w_1 = (b,), w_2 = (a,) and w_{k+1} = w_k w_{k-1}, so w_k has Fibonacci
+    length. The one-period transfers then obey M_{k+1} = M_{k-1} M_k, and
+    tr(AB) + tr(A B^-1) = tr A tr B for determinant-1 matrices gives
+    t_{k+1} = t_k t_{k-1} - t_{k-2} (Kohmoto, Kadanoff & Tang 1983; Suto
+    1987), from t_1 = z - b, t_2 = z - a and t_3 = (z - a)(z - b) - 2.
+    """
+    def mul(f, g):
+        out = [Fraction(0)] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    def sub(f, g):
+        n = max(len(f), len(g))
+        f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+        return [x - y for x, y in zip(f, g)]
+
+    a, b = Fraction(a), Fraction(b)
+    words = [(b,), (a,), (a, b)]
+    traces = [[-b, 1], [-a, 1], sub(mul([-a, 1], [-b, 1]), [2])]
+    while len(words) < count:
+        words.append(words[-1] + words[-2])
+        traces.append(sub(mul(traces[-1], traces[-2]), traces[-3]))
+    return words[:count], traces[:count]
 
 
 def constant4_eigenvalues(m):

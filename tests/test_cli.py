@@ -483,22 +483,25 @@ def _json_type(v):
 
 @st.composite
 def _mutated_configs(draw):
-    """(command, doc, expected) with expected "malformed", "well-formed" or
-    None where either is allowed (an integer beyond any float)."""
+    """(command, doc, expected, kind, path) with expected "malformed",
+    "well-formed" or None where either is allowed (an integer beyond any
+    float), kind the mutation and path the mutated member, an added key
+    last (None if the document is unchanged)."""
     command, doc = draw(st.one_of(_fsm_configs(), _BANDS_CONFIGS))
     doc = copy.deepcopy(doc)
     paths = list(_paths(doc))
     kind = draw(st.sampled_from(["none", "drop", "add", "swap", "nan",
                                  "huge"]))
     if kind == "none":
-        return command, doc, "well-formed"
+        return command, doc, "well-formed", kind, None
     if kind == "add":
-        objects = [doc] + [v for _, v in paths if isinstance(v, dict)]
-        target = draw(st.sampled_from(objects))
+        objects = [((), doc)] + [(p, v) for p, v in paths
+                                 if isinstance(v, dict)]
+        path, target = draw(st.sampled_from(objects))
         key = draw(st.sampled_from([k for k in _FOREIGN_KEYS
                                     if k not in target]))
         target[key] = 1
-        return command, doc, "malformed"
+        return command, doc, "malformed", kind, path + (key,)
     if kind == "drop":
         path, _ = draw(st.sampled_from(
             [(p, v) for p, v in paths if isinstance(p[-1], str)]))
@@ -507,7 +510,7 @@ def _mutated_configs(draw):
         optional = (_OPTIONAL_POTENTIAL_KEYS if path[:-1] == ("potential",)
                     else _OPTIONAL_KEYS)
         return command, doc, ("well-formed" if path[-1] in optional
-                              else "malformed")
+                              else "malformed"), kind, path
     path, old = draw(st.sampled_from(paths))
     if kind == "swap":
         new = draw(st.sampled_from([v for v in (True, "x", {}, [])
@@ -516,13 +519,14 @@ def _mutated_configs(draw):
         new = float("nan") if kind == "nan" else 10 ** 400
     parent = functools.reduce(lambda d, k: d[k], path[:-1], doc)
     parent[path[-1]] = new
-    return command, doc, None if kind == "huge" else "malformed"
+    return (command, doc, None if kind == "huge" else "malformed", kind,
+            path)
 
 
 @given(_mutated_configs())
 @settings(max_examples=150, deadline=None)
 def test_mutated_configs_keep_the_exit_code_contract(case):
-    command, doc, expected = case
+    command, doc, expected, kind, path = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "c.json")
         with open(cfg, "w") as fh:
@@ -535,6 +539,26 @@ def test_mutated_configs_keep_the_exit_code_contract(case):
     if rc == 2:
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert not (expected == "malformed" and made)
+    if kind == "add":
+        assert lines == ["error: bad config: unknown key %r" % path[-1]]
+
+    # the library door: potential_from_json refuses exactly the malformed
+    # potential documents, an unknown key with the message the CLI prints
+    potential = doc.get("potential")
+    if not isinstance(potential, dict):
+        return
+    try:
+        schrod1d.potential_from_json(potential)
+        refused = None
+    except (ValueError, TypeError) as exc:
+        refused = str(exc)
+    inside = path is not None and path[0] == "potential"
+    if expected == "malformed" and inside:
+        assert refused is not None
+        if kind == "add" and len(path) == 2:
+            assert refused == "unknown key %r" % path[-1]
+    elif expected is not None or not inside:
+        assert refused is None, refused
 
 
 @pytest.mark.parametrize("p", family_examples())
@@ -560,6 +584,25 @@ def test_bad_int_field_is_named(tmp_path, capsys, cutoff, message):
     assert cli.main(["fsm", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    # the parser is built once per process; the command function is looked
+    # up at each call, so a rebound cmd_* still runs
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    cfg = bands_cfg(tmp_path)
+    assert _run_main(["bands", "--config", cfg,
+                      "--out", str(tmp_path / "a")])[0] == 0
+    monkeypatch.setattr(cli, "cmd_bands", lambda args: 7)
+    assert _run_main(["bands", "--config", cfg])[0] == 7
+    assert built == [1]
 
 
 def test_bands_builds_one_band_set(tmp_path, monkeypatch):

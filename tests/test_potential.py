@@ -152,6 +152,15 @@ def test_unknown_kind_rejected():
         pot.potential_from_json({"kind": "nope"})
 
 
+def test_unknown_keys_rejected():
+    # a stale or misspelt key is refused by name, never dropped silently
+    with pytest.raises(ValueError, match="unknown key 'regime'"):
+        pot.potential_from_json({"kind": "periodic", "word": [1, 2],
+                                 "regime": "float", "wrod": 3})
+    with pytest.raises(ValueError, match="unknown key 'phase'"):
+        pot.potential_from_json({"kind": "sturmian", "phase": 1})
+
+
 @given(st.integers(min_value=-300, max_value=300),
        st.integers(min_value=-20, max_value=20))
 @settings(max_examples=80, deadline=None)

@@ -99,6 +99,54 @@ def test_locate_agrees_with_discriminant_sign(word, z):
         assert kind in ("edge", "band")
 
 
+# periods 1-12: integer, p/q and half-integer words (rational roots land on
+# midpoints of the isolation tree), and repeated blocks (closed gaps)
+counter_words = st.one_of(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=12),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+             min_size=1, max_size=12),
+    st.lists(st.integers(min_value=-8, max_value=8).map(lambda n: F(n, 2)),
+             min_size=1, max_size=12),
+    st.builds(lambda block, k: block * k,
+              st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
+                       max_size=3),
+              st.integers(min_value=2, max_value=4)))
+
+
+def _counted_polynomials(word):
+    """(sf, its oscillation counter, m12, its counter) of a word."""
+    d = tr.discriminant(pot.periodic(word))
+    f = pl.psub(pl.pmul(d.coeffs, d.coeffs), pl.constant(4))
+    sf = pl.square_free(f)
+    return (sf, sp._edge_counter(d), d.monodromy[1],
+            sp._dirichlet_counter(word))
+
+
+@given(counter_words)
+@settings(max_examples=60, deadline=None)
+def test_counters_isolate_like_sturm_chains(word):
+    sf, edges, m12, roots = _counted_polynomials(word)
+    assert pl.isolate_real_roots(sf, edges) == pl.isolate_real_roots(sf)
+    assert pl.isolate_real_roots(m12, roots) == pl.isolate_real_roots(m12)
+
+
+# rational roots of m12 (0 for (0, 1)), of m12 and m21 at once (0 for
+# (0, 0), a closed gap, and for (1/2, 2, 1/2), no edge), of disc -+ 2, and
+# closed gaps next to open ones
+@pytest.mark.parametrize("word", [
+    [0, 1], [0, 0], [1, 0, 1], [F(1, 2), 2, F(1, 2)], [2, -1, 0, 3, 1] * 2,
+    [1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1], [0] * 6, [2, 0, 2, 0]])
+def test_counters_count_like_sturm_chains_everywhere(word):
+    sf, edges, m12, roots = _counted_polynomials(word)
+    for f, counter in ((sf, edges), (m12, roots)):
+        chain = pl.sturm_counter(f)
+        for a in range(-48, 49):
+            for d in (1, 2, 4, 3):
+                n, s = counter(a, d)
+                m, t = chain(a, d)
+                assert n == m and (s == 0) == (t == 0), (f, a, d)
+
+
 def test_truncation_matches_closed_form():
     p = pot.periodic([4])
     for m in list(range(1, 40)) + [120, 200]:
@@ -219,6 +267,32 @@ GUIDED_WORDS = [
 ]
 
 
+@pytest.mark.parametrize("word, phase", GUIDED_WORDS)
+def test_isolation_builds_no_sturm_chain_of_its_polynomial(monkeypatch, word,
+                                                           phase):
+    # band edges and Dirichlet roots come from the oscillation counters:
+    # no Sturm chain of square_free(disc^2 - 4) or of m12 is built
+    isolate, chain = pl.isolate_real_roots, pl.sturm_chain
+    isolating, built = [], []
+
+    def recording_isolate(c, counter=None):
+        isolating.append(c)
+        try:
+            return isolate(c, counter)
+        finally:
+            isolating.pop()
+
+    def recording_chain(c, d=None):
+        if isolating:
+            built.append((isolating[-1], c))
+        return chain(c, d)
+    monkeypatch.setattr(pl, "isolate_real_roots", recording_isolate)
+    monkeypatch.setattr(pl, "sturm_chain", recording_chain)
+    sp.dirichlet_eigenvalues(pot.periodic([F(v) for v in word], phase))
+    assert not [c for target, c in built
+                if pl.primitive(c) == pl.primitive(target)]
+
+
 def _refine_sign_counts(monkeypatch, use_guess):
     """Route pl.refine_root through a wrapper that counts the integer sign
     evaluations of each call; the guess is dropped unless use_guess."""
@@ -290,6 +364,16 @@ def test_guesses_are_best_effort(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", fake)
         assert sp._eigenvalue_guesses(d.word, (1, -1)) is None
         assert sp.bands(p) == plain
+
+
+def test_edges_beyond_the_float_range_refuse_floats():
+    # the exact band set exists, but float views of its edges name the
+    # documented ValueError instead of an OverflowError
+    bs = sp.bands(pot.periodic([10 ** 400, 0, 1]))
+    for view in (lambda: [e.approx for e in bs.edges], lambda: bs.bands,
+                 lambda: bs.gaps, bs.to_json):
+        with pytest.raises(ValueError, match="float range"):
+            view()
 
 
 def test_dirichlet_refuses_words_beyond_the_float_range():

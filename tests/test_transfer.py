@@ -4,10 +4,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schrod1d.polynomials as pl
 import schrod1d.potential as pot
 import schrod1d.transfer as tr
 from schrod1d.scalars import RegimeError
-from oracles import CONSTANT4_DETERMINANTS, bareiss_determinant, dense_section
+from oracles import (CONSTANT4_DETERMINANTS, bareiss_determinant,
+                     dense_section, fibonacci_traces)
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -251,3 +253,13 @@ def test_mixed_inputs_promote_like_the_regime_chain(word_z, l, size):
             tr.dirichlet_orbit(p, bad, size + 1)
         with pytest.raises(RegimeError):
             tr.finite_section_determinant(p, bad, l, r)
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (F(1, 2), -2)])
+def test_discriminant_matches_fibonacci_trace_map(a, b):
+    # periods 34, 55 and 89, where a Sturm chain of disc^2 - 4 is costly
+    words, traces = fibonacci_traces(a, b, 11)
+    for word, t in zip(words[8:], traces[8:]):
+        d = tr.discriminant(pot.periodic(word))
+        assert len(word) in (34, 55, 89)
+        assert d.coeffs == pl.poly(t)
