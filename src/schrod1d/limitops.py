@@ -34,7 +34,7 @@ from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
                         PeriodicPotential, periodic)
 from .scalars import INTEGER, RATIONAL, RegimeError, to_exact
 from .spectral import bands
-from .transfer import discriminant, monodromy_dirichlet_test, transfer_product
+from .transfer import monodromy, monodromy_dirichlet_test, transfer_product
 
 KERNEL_SUSPECT_TOL = 1e-8
 
@@ -121,9 +121,8 @@ class EssentialSpectrum:
 def essential_spectrum(p):
     """Union of the limit-operator spectra; exact edges per side."""
     lw, rw, _, _ = _side_words(p)
-    left_bs = bands(discriminant(periodic(lw)))
-    right_bs = left_bs if tuple(rw) == tuple(lw) \
-        else bands(discriminant(periodic(rw)))
+    left_bs = bands(periodic(lw))
+    right_bs = left_bs if tuple(rw) == tuple(lw) else bands(periodic(rw))
     ivs = _merge_intervals(list(left_bs.bands) + list(right_bs.bands))
     return EssentialSpectrum(intervals=ivs,
                              side_bands={"left": left_bs, "right": right_bs})
@@ -141,14 +140,20 @@ class FredholmResult:
 
 def is_fredholm(p, z, operator="full_line"):
     """Exact Fredholm test for H - z (or its Dirichlet half-line
-    compression, which only sees the right limit operators)."""
+    compression, which only sees the right limit operators). The
+    discriminant of each side word at z is the trace of its one-period
+    transfer there."""
     if operator not in ("full_line", "half_line"):
         raise ValueError("operator must be full_line or half_line")
     zf = to_exact(z)
     lw, rw, _, _ = _side_words(p)
     sides = {"right": rw} if operator == "half_line" else {"left": lw, "right": rw}
-    values = {w: discriminant(periodic(w)).value(zf)
-              for w in set(sides.values())}
+    values = {}
+    for w in set(sides.values()):
+        side = periodic(w)
+        if side.regime not in (INTEGER, RATIONAL):
+            raise RegimeError("the Fredholm test is exact-only")
+        values[w] = monodromy(side, zf).trace()
     pos = {}
     witness = None
     edge = False

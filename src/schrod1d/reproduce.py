@@ -284,8 +284,7 @@ def integer_avoidance(seed=1, count=1000):
                     violations.append((word, z, "m12 = 0 with |m22| != 1"))
             if abs(res.trace) > 2:
                 gap_points += 1
-                if res.status not in ("gap_no_dirichlet",
-                                      "gap_dirichlet_impossible_integer"):
+                if res.status != "gap_no_dirichlet":
                     violations.append((word, z, "status %s" % res.status))
             elif res.status != "not_gap":
                 violations.append((word, z, "status %s" % res.status))

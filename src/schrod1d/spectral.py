@@ -11,12 +11,13 @@ a rational point gives the node count of the section [0, q - 2] and the
 signs of m12 and disc -+ 2, and inertia additivity and interlacing turn
 them into the number of Floquet eigenvalues above the point (see
 `_edge_counter`). Sturm chains (integer pseudo-remainder sequences) count
-the closed-gap points, the roots of discriminants that carry no word, and
-the sign of m22 at a root of m12, a Tarski query (Sylvester's theorem).
-The floating-point side uses LAPACK on symmetric
-tridiagonal sections: whole truncation spectra by the root-free QL/QR
-algorithm (sterf), and the two eigenvalues next to a point by bisection with
-index selection (stebz).
+the closed-gap points and give the sign of m22 at a root of m12, a Tarski
+query (Sylvester's theorem). Band theory pairs the edges: the closed-gap
+points are the multiple roots of disc^2 - 4, and the other edges, in
+order, start and end the bands (see `bands`). The floating-point side
+uses LAPACK on symmetric tridiagonal sections: whole truncation spectra by
+the root-free QL/QR algorithm (sterf), and the two eigenvalues next to a
+point by bisection with index selection (stebz).
 
 Floats also propose where exact roots lie. Band edges are the eigenvalues
 of the q x q periodic and antiperiodic Floquet matrices (the roots of
@@ -29,7 +30,6 @@ guesses.
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,7 +97,8 @@ class BandSet:
             for b, (i, j) in enumerate(self.band_edge_pairs):
                 if self.edges[i].lo <= zf <= self.edges[j].hi:
                     return {"kind": "band", "index": b}
-            raise AssertionError("|disc| < 2 point outside every band interval")
+            raise SpectralStructureError(
+                "|disc| < 2 point outside every band interval")
         if abs(val) == 2:
             # z is an exact root of disc^2 - 4: either a band boundary or a
             # closed-gap touching point interior to a merged band
@@ -109,7 +110,8 @@ class BandSet:
                     for b, (i, j) in enumerate(self.band_edge_pairs):
                         if self.edges[i].lo <= zf <= self.edges[j].hi:
                             return {"kind": "band", "index": b}
-            raise AssertionError("|disc| = 2 point not matched to any edge root")
+            raise SpectralStructureError(
+                "|disc| = 2 point not matched to any edge root")
         if zf < self.edges[self.band_edge_pairs[0][0]].hi:
             return {"kind": "below", "index": None}
         if zf > self.edges[self.band_edge_pairs[-1][1]].lo:
@@ -236,9 +238,20 @@ def _dirichlet_counter(word):
     return counter
 
 
-def _edge_counter(d):
+def _closed_counter(d):
+    """Sturm counter of gcd(disc - 2, disc') gcd(disc + 2, disc'), whose
+    roots are the closed-gap points; None when no gap is closed, as for
+    almost every word."""
+    dp = pl.pderiv(d.coeffs)
+    closed = pl.pmul(pl.pgcd(pl.psub(d.coeffs, pl.constant(2)), dp),
+                     pl.pgcd(pl.padd(d.coeffs, pl.constant(2)), dp))
+    return pl.sturm_counter(closed) if pl.degree(closed) >= 1 else None
+
+
+def _edge_counter(d, closed):
     """Root counter of square_free(disc^2 - 4) for pl.isolate_real_roots,
-    from orbits of the discriminant's word.
+    from orbits of the discriminant's word and the closed-gap counter
+    `_closed_counter(d)`.
 
     The roots of disc -+ 2 are the eigenvalues of the periodic and
     antiperiodic Floquet matrices J_+ and J_-: det(x - J_theta) =
@@ -253,16 +266,11 @@ def _edge_counter(d):
     monodromy is +-I, x is a double eigenvalue of J and J has as many
     eigenvalues above x as T. A closed-gap point is a double eigenvalue, so
     the distinct edges above x are the eigenvalues of both J above x less
-    the roots above x of gcd(disc - 2, disc') gcd(disc + 2, disc'), whose
-    Sturm chain is small. Every answer is exact; no chain of disc^2 - 4 is
-    built.
+    the closed-gap points above x. Every answer is exact; no chain of
+    disc^2 - 4 is built.
     """
     num, den = _integer_word(d.word)
     q, head = len(num), num[:-1]
-    dp = pl.pderiv(d.coeffs)
-    closed = pl.pmul(pl.pgcd(pl.psub(d.coeffs, pl.constant(2)), dp),
-                     pl.pgcd(pl.padd(d.coeffs, pl.constant(2)), dp))
-    closed = pl.sturm_counter(closed) if pl.degree(closed) >= 1 else None
 
     def counter(a, b):
         u = _orbit(num, den, a, b, (0, 1))
@@ -287,17 +295,33 @@ def _edge_counter(d):
     return counter
 
 
+def _holds_root(counter, e):
+    """Whether the edge interval e holds a root of the counted polynomial,
+    whose roots are among those of disc^2 - 4 (so an end of an open edge
+    interval is none of them)."""
+    n, s = counter(e.lo.numerator, e.lo.denominator)
+    return s == 0 or n != counter(e.hi.numerator, e.hi.denominator)[0]
+
+
 def bands(d):
     """Assemble the band structure from a discriminant, exactly.
 
     Roots of disc^2 - 4 are isolated by counting Floquet eigenvalues with
-    the oscillation counter `_edge_counter` when the discriminant carries
-    its word, and with the Sturm chain otherwise. They are refined to width
-    2^-60, guided by the Floquet eigenvalues as float guesses; the sign of
-    disc^2 - 4 at exact rational sample points between
-    consecutive roots decides band versus gap. Bands touching at a closed gap
-    are merged. Raises SpectralStructureError if disc^2 - 4 has non-real
-    roots, which cannot happen for a real periodic potential.
+    the oscillation counter `_edge_counter`, and refined to width 2^-60,
+    guided by the Floquet eigenvalues as float guesses. Raises
+    SpectralStructureError if disc^2 - 4 has non-real roots, which cannot
+    happen for a real periodic potential.
+
+    Band and gap are read off root multiplicity. Once all 2q roots of
+    disc^2 - 4 are real, disc - 2 and disc + 2 each have q real roots. By
+    Rolle, each gap between consecutive distinct roots of either one holds
+    exactly one critical point of disc, and that point is simple. So a
+    multiple root of disc - 2 lies strictly between two roots of disc + 2:
+    it is a local maximum at 2, a double root with |disc| < 2 on both
+    sides, that is, a closed gap; the same holds with the signs swapped.
+    An edge is closed exactly when it holds a root of gcd(disc - 2, disc')
+    gcd(disc + 2, disc'), and the open edges, in order, are the start and
+    end of each band (Teschl 2000, ch. 7: a band never has zero length).
     """
     if not isinstance(d, Discriminant):
         d = discriminant(d)
@@ -308,54 +332,16 @@ def bands(d):
             "disc^2 - 4 must have all roots real (got %d of %d)"
             % (total, pl.degree(f)))
     sf = pl.square_free(f)
-    raw = pl.isolate_real_roots(
-        sf, None if d.word is None else _edge_counter(d))
-    if not raw:
-        raise SpectralStructureError("discriminant has no band edges")
-    floquet = None if d.word is None else _eigenvalue_guesses(d.word, (1, -1))
-    edges = []
-    for lo, hi in raw:
-        edges.append(EdgeRoot(*pl.refine_root(
-            sf, lo, hi, EDGE_WIDTH, guess=_guess(floquet, lo, hi))))
-
-    # exact sample points strictly between consecutive root intervals
-    fi = pl.primitive(f)
-
-    def sign_between(i):
-        if i < 0:
-            s = edges[0].lo - 1
-        elif i >= len(edges) - 1:
-            s = edges[-1].hi + 1
-        else:
-            s = (edges[i].hi + edges[i + 1].lo) / 2
-        v = pl.psign(fi, s)
-        if v == 0:
-            raise AssertionError("sample point hit a root")
-        return v
-
-    segs = [sign_between(i) for i in range(-1, len(edges))]
-    if segs[0] != 1 or segs[-1] != 1:
-        raise SpectralStructureError("disc^2 - 4 must be positive far out")
-
-    pairs = []
-    open_lo = None
-    for i, e in enumerate(edges):
-        before, after = segs[i], segs[i + 1]
-        if before > 0 and after < 0:
-            open_lo = i
-        elif before < 0 and after > 0:
-            pairs.append((open_lo, i))
-            open_lo = None
-        elif before > 0 and after > 0:
-            # double root with |disc| = 2 on both sides: degenerate band
-            pairs.append((i, i))
-        # before < 0 and after < 0: closed gap, band continues through e
-    if open_lo is not None:
-        raise AssertionError("unterminated band")
-    if len(pairs) > d.period:
-        raise SpectralStructureError("more bands than the period allows")
-    return BandSet(period=d.period, disc=d, edges=tuple(edges),
-                   band_edge_pairs=tuple(pairs))
+    closed = _closed_counter(d)
+    floquet = _eigenvalue_guesses(d.word, (1, -1))
+    edges = tuple(
+        EdgeRoot(*pl.refine_root(sf, lo, hi, EDGE_WIDTH,
+                                 guess=_guess(floquet, lo, hi)))
+        for lo, hi in pl.isolate_real_roots(sf, _edge_counter(d, closed)))
+    ends = [i for i, e in enumerate(edges)
+            if closed is None or not _holds_root(closed, e)]
+    return BandSet(period=d.period, disc=d, edges=edges,
+                   band_edge_pairs=tuple(zip(ends[::2], ends[1::2])))
 
 
 @dataclass(frozen=True)
@@ -365,8 +351,7 @@ class DirichletEigenvalue:
     lo: Fraction
     hi: Fraction
     approx: float
-    location: str  # "gap", "below" or "above"
-    gap_index: object  # int for finite gaps, None otherwise
+    gap_index: object  # the gap holding it; None within 2^-60 of an edge
 
 
 @dataclass(frozen=True)
@@ -374,7 +359,6 @@ class DirichletSpectrum:
     eigenvalues: tuple
     rejected: tuple  # roots of m12 with |m22| >= 1 (float approximations)
     band_set: object
-    warnings: tuple
 
 
 class CrossValidationError(AssertionError):
@@ -388,7 +372,10 @@ def dirichlet_eigenvalues(p):
     the transfer recurrence; each is kept iff |m22| < 1 there,
     decided by a Tarski query on m22^2 - 1. Where m12 = 0, det M = 1 gives
     m11 m22 = 1 and disc^2 - 4 = (m22 - 1/m22)^2, so a root of gcd(m12,
-    m22^2 - 1) is a band edge and is rejected. The roots of m12 are refined
+    m22^2 - 1) is a band edge and is rejected. The q - 1 roots of m12
+    interlace the band edges, one in each gap, open or closed (Teschl 2000,
+    ch. 7), so a kept root outside a gap, or a second one in a gap, raises
+    SpectralStructureError. The roots of m12 are refined
     from the eigenvalues of the section [0, period - 2] as guesses. Every
     eigenvalue is cross-validated against LAPACK truncation spectra at sizes
     >= 60 * period, so a word entry beyond the float range raises
@@ -428,15 +415,14 @@ def dirichlet_eigenvalues(p):
                 rejected.append(approx)
                 continue
             loc = bs.locate(mid)
-            if loc["kind"] == "band":
-                raise AssertionError("eigenvalue located inside a band")
-            location = loc["kind"] if loc["kind"] in ("below", "above") else "gap"
+            if loc["kind"] not in ("gap", "edge") or (
+                    loc["index"] is not None
+                    and loc["index"] in (e.gap_index for e in eigs)):
+                raise SpectralStructureError(
+                    "Dirichlet eigenvalue %r is not alone in a gap (%s)"
+                    % (approx, loc["kind"]))
             eigs.append(DirichletEigenvalue(
-                lo=lo, hi=hi, approx=approx, location=location,
-                gap_index=loc["index"]))
-    per_gap = Counter((e.location, e.gap_index) for e in eigs)
-    warnings = ["multiple Dirichlet eigenvalues share gap %r" % (key,)
-                for key, cnt in per_gap.items() if cnt > 1]
+                lo=lo, hi=hi, approx=approx, gap_index=loc["index"]))
 
     if eigs:
         for size in (60 * p.period, 240 * p.period, 960 * p.period):
@@ -450,7 +436,7 @@ def dirichlet_eigenvalues(p):
                 "eigenvalues %r unmatched by truncation spectra"
                 % [e.approx for e in bad])
     return DirichletSpectrum(eigenvalues=tuple(eigs), rejected=tuple(rejected),
-                             band_set=bs, warnings=tuple(warnings))
+                             band_set=bs)
 
 
 def _tridiag_data(p, l, r):

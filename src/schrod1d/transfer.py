@@ -133,18 +133,17 @@ class Discriminant:
     """Floquet discriminant: trace of the symbolic one-period transfer.
 
     coeffs are exact Fractions, ascending; the polynomial is monic of degree
-    equal to the period. When the discriminant comes from a potential, word
-    is the period read as v(0), ..., v(period - 1) and monodromy the
-    symbolic transfer (m11, m12, m21, m22) it is the trace of:
-    `spectral.bands` counts and guesses edges from the word, and
+    equal to the period. word is the period read as v(0), ..., v(period - 1)
+    and monodromy the symbolic transfer (m11, m12, m21, m22) it is the trace
+    of: `spectral.bands` counts and guesses edges from the word, and
     `spectral.dirichlet_eigenvalues` reads m12 and m22. Neither is compared
-    or serialised.
+    or serialised. `discriminant` builds it.
     """
 
     period: int
     coeffs: tuple
-    word: tuple = field(default=None, compare=False, repr=False)
-    monodromy: tuple = field(default=None, compare=False, repr=False)
+    word: tuple = field(compare=False, repr=False)
+    monodromy: tuple = field(compare=False, repr=False)
 
     def value(self, z):
         return pl.peval(self.coeffs, to_exact(z))
@@ -199,7 +198,7 @@ def discriminant(p):
 class MonodromyDirichletResult:
     """Outcome of the integer no-Dirichlet-eigenvalue certificate at z."""
 
-    status: str  # not_gap | gap_no_dirichlet | gap_dirichlet_impossible_integer
+    status: str  # not_gap | gap_no_dirichlet
     z: int
     trace: int
     m11: int
@@ -217,9 +216,9 @@ def monodromy_dirichlet_test(p, z):
     iff M12(z) = 0 and |M22(z)| < 1 for the period transfer M aligned at 0.
     With integer entries and det M = 1, M12 = 0 forces M11 M22 = 1, hence
     |M22| = 1, so the criterion can never hold: in a gap (|trace| > 2) the
-    result is gap_no_dirichlet, carrying the witness entries. (Over Z,
-    M12 = 0 in fact forces |trace| = 2, so the third status is unreachable
-    for valid inputs and kept defensively.)
+    result is gap_no_dirichlet, carrying the witness entries. Over Z,
+    M12 = 0 in fact forces |trace| = |M11 + M22| = 2, so in a gap M12 is
+    never 0.
     """
     if not isinstance(p, PeriodicPotential) or p.regime != INTEGER:
         raise RegimeError("certificate requires an integer periodic potential")
@@ -231,11 +230,9 @@ def monodromy_dirichlet_test(p, z):
     assert det == 1
     if abs(tr) <= 2:
         status = "not_gap"
-    elif m.b != 0:
-        status = "gap_no_dirichlet"
     else:
-        assert m.a * m.d == 1 and abs(m.d) == 1
-        status = "gap_dirichlet_impossible_integer"
+        assert m.b != 0
+        status = "gap_no_dirichlet"
     return MonodromyDirichletResult(status=status, z=z, trace=tr,
                                     m11=m.a, m12=m.b, m21=m.c, m22=m.d,
                                     det=det)

@@ -7,8 +7,10 @@ Fibonacci discriminants by the trace map instead of transfer products, and
 the Sturm route over Q (Euclidean remainders with Fraction coefficients,
 signs read from exact values) that the package's integer kernels replace,
 Yun's square-free decomposition (Yun 1976) in place of the package's
-gcd tower for counting roots with multiplicity, unit-root grid moduli
-summed numerically at 60 digits in place of the exact value-ring route, and
+gcd tower for counting roots with multiplicity, bands paired by the sign
+of disc^2 - 4 between edges in place of root multiplicity, unit-root grid
+moduli summed numerically at 60 digits in place of the exact value-ring
+route, and
 the general (d, e) inertia recursion over numpy scalars in place of the
 package's unit off-diagonal loop over Python floats.
 """
@@ -232,6 +234,32 @@ def fraction_refine_root(c, lo, hi, width):
         else:
             hi = mid
     return lo, hi
+
+
+def sign_sampled_band_pairs(disc, edges):
+    """(start, end) edge indices of each band, from the sign of disc^2 - 4
+    at rational points between the ascending, disjoint edge intervals
+    [(lo, hi), ...] and beyond them.
+
+    A band starts where the sign turns negative and ends where it turns
+    positive; a closed gap, negative on both sides, continues the band,
+    and an edge positive on both sides is a degenerate band (i, i).
+    """
+    f = pl.psub(pl.pmul(disc, disc), pl.constant(4))
+    points = ([edges[0][0] - 1]
+              + [(a[1] + b[0]) / 2 for a, b in zip(edges, edges[1:])]
+              + [edges[-1][1] + 1])
+    signs = [pl.sign(pl.peval(f, x)) for x in points]
+    assert 0 not in signs and signs[0] == signs[-1] == 1
+    pairs = []
+    for i, (before, after) in enumerate(zip(signs, signs[1:])):
+        if before > 0 > after:
+            start = i
+        elif before < 0 < after:
+            pairs.append((start, i))
+        elif before > 0 < after:
+            pairs.append((i, i))
+    return pairs
 
 
 def yun_decomposition(c):

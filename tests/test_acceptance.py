@@ -109,8 +109,7 @@ def test_criterion_3_integer_gap_sweep():
                 continue
             gap_points += 1
             res = tr.monodromy_dirichlet_test(p, z)
-            if res.status not in ("gap_no_dirichlet",
-                                  "gap_dirichlet_impossible_integer"):
+            if res.status != "gap_no_dirichlet":
                 violations.append((tuple(vals), z, res.status))
             if res.m12 == 0:
                 m12_zero += 1

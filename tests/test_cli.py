@@ -732,6 +732,25 @@ def test_fibonacci_prefix_artifact_digest(tmp_path):
         FIBONACCI_PREFIX_DIGEST
 
 
+@pytest.mark.parametrize("trip, word", [
+    ("premise", ("1/2", 2, "1/2")), ("band", ("1/2", 2, "1/2")),
+    ("shared gap", (1, 0, 2, 0))])
+def test_theory_guard_exits_1(tmp_path, capsys, monkeypatch, trip, word):
+    # guards that band theory says never fire: disc^2 - 4 with a non-real
+    # root, a kept Dirichlet root inside a band, two in one gap
+    if trip == "premise":
+        monkeypatch.setattr(spectral.pl, "real_root_count_with_multiplicity",
+                            lambda c: 0)
+    else:
+        kind = "band" if trip == "band" else "gap"
+        monkeypatch.setattr(spectral.BandSet, "locate",
+                            lambda self, z: {"kind": kind, "index": 0})
+    assert cli.main(["bands", "--config", bands_cfg(tmp_path, word),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("error", [spectral.CrossValidationError,
                                    spectral.SpectralStructureError])
 def test_failed_internal_check_exits_1(tmp_path, capsys, monkeypatch, error):

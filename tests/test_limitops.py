@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import schrod1d.limitops as lo
 import schrod1d.potential as pot
+import schrod1d.transfer as tr
 from schrod1d.prng import CounterRng
 from schrod1d.scalars import RegimeError
 
@@ -147,11 +148,29 @@ def test_kernel_scan_clear_for_constant():
     assert scan["matching_det"] > 1e-2
 
 
+@given(st.one_of(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=8),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+             min_size=1, max_size=8)),
+    st.fractions(min_value=-7, max_value=7, max_denominator=6))
+@settings(max_examples=100, deadline=None)
+def test_side_position_matches_discriminant(word, z):
+    val = tr.discriminant(pot.periodic(word)).value(z)
+    want = "band" if abs(val) < 2 else "edge" if abs(val) == 2 else "gap"
+    for operator, sides in (("full_line", ("left", "right")),
+                            ("half_line", ("right",))):
+        res = lo.is_fredholm(pot.periodic(word), z, operator)
+        assert res.side_position == dict.fromkeys(sides, want)
+        assert res.fredholm == (want == "gap")
+
+
 def test_applicability_input_checks():
     with pytest.raises(ValueError):
         lo.fsm_applicability(pot.periodic([4]), 0, operator="sideways")
     with pytest.raises(RegimeError):
         lo.fsm_applicability(pot.periodic([0.5]), 0)
+    with pytest.raises(RegimeError):
+        lo.is_fredholm(pot.periodic([0.5]), 0)
     with pytest.raises(TypeError):
         lo.limit_operators(pot.sturmian())
 

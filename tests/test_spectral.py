@@ -11,7 +11,9 @@ import schrod1d.potential as pot
 from schrod1d import cli
 import schrod1d.spectral as sp
 import schrod1d.transfer as tr
-from oracles import constant4_eigenvalues, constant4_sigma_min, count_below
+from oracles import (constant4_eigenvalues, constant4_sigma_min, count_below,
+                     fraction_sturm_chain, fraction_variations_at,
+                     sign_sampled_band_pairs)
 
 
 int_words = st.lists(st.integers(min_value=-4, max_value=4),
@@ -118,7 +120,7 @@ def _counted_polynomials(word):
     d = tr.discriminant(pot.periodic(word))
     f = pl.psub(pl.pmul(d.coeffs, d.coeffs), pl.constant(4))
     sf = pl.square_free(f)
-    return (sf, sp._edge_counter(d), d.monodromy[1],
+    return (sf, sp._edge_counter(d, sp._closed_counter(d)), d.monodromy[1],
             sp._dirichlet_counter(word))
 
 
@@ -145,6 +147,61 @@ def test_counters_count_like_sturm_chains_everywhere(word):
                 n, s = counter(a, d)
                 m, t = chain(a, d)
                 assert n == m and (s == 0) == (t == 0), (f, a, d)
+
+
+def band_words(min_size):
+    """Integer and p/q words of period min_size to 10, and repeated blocks
+    of period up to 10, whose gaps close."""
+    return st.one_of(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=min_size,
+                 max_size=10),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                 min_size=min_size, max_size=10),
+        st.integers(min_value=1, max_value=5).flatmap(lambda b: st.builds(
+            lambda block, k: block * k,
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=b,
+                     max_size=b),
+            st.integers(min_value=2, max_value=10 // b))))
+
+
+@given(band_words(1))
+@settings(max_examples=80, deadline=None)
+def test_pairing_matches_sign_sampling(word):
+    bs = sp.bands(pot.periodic(word))
+    edges = [(e.lo, e.hi) for e in bs.edges]
+    assert list(bs.band_edge_pairs) == \
+        sign_sampled_band_pairs(bs.disc.coeffs, edges)
+
+
+@given(band_words(2))
+@settings(max_examples=40, deadline=None)
+def test_one_m12_root_per_gap(word):
+    # the q - 1 roots of m12 interlace the edges, one in each gap, open or
+    # closed; a kept root is alone inside its open gap, and a rejected one
+    # (|m22| >= 1: an edge, or an eigenvalue of the left compression) lies
+    # in a gap too
+    ds = sp.dirichlet_eigenvalues(pot.periodic(word))
+    bs, pairs = ds.band_set, ds.band_set.band_edge_pairs
+    m12 = bs.disc.monodromy[1]
+    chain = fraction_sturm_chain(m12)
+
+    def roots_in(lo, hi):  # [lo, hi]; m12 has simple roots
+        return (fraction_variations_at(chain, lo)
+                - fraction_variations_at(chain, hi) + (pl.peval(m12, lo) == 0))
+    ends = {i for pair in pairs for i in pair}
+    gaps = [(bs.edges[j].lo, bs.edges[k].hi)
+            for (_, j), (k, _) in zip(pairs, pairs[1:])]
+    gaps += [(e.lo, e.hi) for i, e in enumerate(bs.edges) if i not in ends]
+    assert len(gaps) == len(word) - 1
+    assert [roots_in(lo, hi) for lo, hi in gaps] == [1] * len(gaps)
+    assert len(ds.eigenvalues) + len(ds.rejected) == len(word) - 1
+    index = [e.gap_index for e in ds.eigenvalues]
+    assert None not in index and len(set(index)) == len(index)
+    for e in ds.eigenvalues:
+        (_, j), (k, _) = pairs[e.gap_index], pairs[e.gap_index + 1]
+        assert bs.edges[j].hi < e.lo <= e.hi < bs.edges[k].lo
+    for r in ds.rejected:
+        assert any(lo - 1e-9 <= r <= hi + 1e-9 for lo, hi in gaps)
 
 
 def test_truncation_matches_closed_form():
@@ -189,9 +246,8 @@ def test_dirichlet_eigenvalue_exact_zero():
     assert len(ds.eigenvalues) == 1
     e = ds.eigenvalues[0]
     assert e.lo == e.hi == 0
-    assert e.location == "gap" and e.gap_index == 0
+    assert e.gap_index == 0
     assert ds.rejected == (2.5,)
-    assert ds.warnings == ()
 
 
 @pytest.mark.parametrize("word", [(2, -1, 3), (0, 1, 3)])
@@ -354,15 +410,14 @@ def test_guesses_are_best_effort(monkeypatch):
 
     # a LAPACK failure or a non-finite eigenvalue gives no guess either
     p = pot.periodic([3, -1, 4, 1, -5])
-    d = tr.discriminant(p)
-    plain = sp.bands(tr.Discriminant(d.period, d.coeffs))
+    plain = sp.bands(p)
 
     def no_convergence(h):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
     for fake in (no_convergence, lambda h: np.full(len(h), np.nan),
                  lambda h: np.full(len(h), np.inf)):
         monkeypatch.setattr(np.linalg, "eigvalsh", fake)
-        assert sp._eigenvalue_guesses(d.word, (1, -1)) is None
+        assert sp._eigenvalue_guesses(plain.disc.word, (1, -1)) is None
         assert sp.bands(p) == plain
 
 
