@@ -13,8 +13,8 @@ from .limitops import (ApplicabilityReport, EssentialSpectrum, FredholmResult,
                        LimitOperator, essential_spectrum, fsm_applicability,
                        full_line_kernel_scan, halfline_invertible, is_fredholm,
                        limit_operators)
-from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
-                        PeriodicPotential, RandomPotential, SturmianPotential,
+from .potential import (EventuallyPeriodicPotential, PeriodicPotential,
+                        RandomPotential, SturmianPotential,
                         eventually_periodic, explicit, fibonacci_value,
                         periodic, potential_from_json, random_values, reflect,
                         shift, sturmian)
@@ -36,10 +36,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ApplicabilityReport", "BandSet", "CounterRng", "CutoffSequence",
     "DirichletOrbit", "DirichletSpectrum", "Discriminant",
-    "EssentialSpectrum", "EventuallyPeriodicPotential", "ExplicitPotential",
-    "FLOAT", "FredholmResult", "FsmReport", "GridVector", "INTEGER",
-    "LimitOperator", "PeriodicPotential", "RATIONAL", "REPRODUCTIONS",
-    "RandomPotential",
+    "EssentialSpectrum", "EventuallyPeriodicPotential", "FLOAT",
+    "FredholmResult", "FsmReport", "GridVector", "INTEGER", "LimitOperator",
+    "PeriodicPotential", "RATIONAL", "REPRODUCTIONS", "RandomPotential",
     "ReferenceInconclusive", "RegimeError", "RingSpec", "RingValidation",
     "SectionScheme", "SectionSingularError", "SpectralStructureError",
     "SturmianPotential", "TransferMatrix", "bands", "counter_value",

@@ -30,8 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .potential import (EventuallyPeriodicPotential, ExplicitPotential,
-                        PeriodicPotential, periodic)
+from .potential import EventuallyPeriodicPotential, PeriodicPotential, periodic
 from .scalars import INTEGER, RATIONAL, RegimeError, to_exact
 from .spectral import bands
 from .transfer import monodromy, monodromy_dirichlet_test, transfer_product
@@ -49,14 +48,9 @@ def _side_words(p):
         w = tuple(p.value(n) for n in range(p.period))
         return w, w, 0, 0
     if isinstance(p, EventuallyPeriodicPotential):
-        lw = tuple(p.left_word)
-        rw = tuple(p.right_word)
-        return lw, rw, p.core_start, p.right_start
-    if isinstance(p, ExplicitPotential):
-        w = (p.outside,)
-        return w, w, p.start, p.start + len(p.values)
-    raise TypeError("limit operators need an (eventually) periodic or "
-                    "explicit potential, got %s" % type(p).__name__)
+        return p.left_word, p.right_word, p.core_start, p.right_start
+    raise TypeError("limit operators need a periodic or eventually periodic "
+                    "potential, got %s" % type(p).__name__)
 
 
 @dataclass(frozen=True)
@@ -70,6 +64,8 @@ class LimitOperator:
 
 def limit_operators(p, side=None):
     """Distinct periodic limit operators of p, per side, rotations deduped."""
+    if side not in (None, "left", "right"):
+        raise ValueError("side must be None, left or right")
     lw, rw, _, _ = _side_words(p)
     out = []
     for s, w in (("left", lw), ("right", rw)):
@@ -111,11 +107,6 @@ class EssentialSpectrum:
         zf = to_exact(z)
         return any(abs(bs.disc.value(zf)) <= 2
                    for bs in self.side_bands.values())
-
-    def to_json(self):
-        return {"intervals": [[lo, hi] for lo, hi in self.intervals],
-                "left": self.side_bands["left"].to_json(),
-                "right": self.side_bands["right"].to_json()}
 
 
 def essential_spectrum(p):
@@ -221,8 +212,8 @@ def _halfline_invertible_from_junction(p, z, junction, word_len):
 def halfline_invertible(p, z):
     """Exact invertibility of the Dirichlet half-line compression of p.
 
-    p must be periodic, or eventually periodic / explicit; only the part of
-    p on [0, inf) matters.
+    p must be periodic or eventually periodic; only the part of p on
+    [0, inf) matters.
     """
     _, rw, _, rj = _side_words(p)
     return _halfline_invertible_from_junction(p, z, max(rj, 0), len(rw))
@@ -274,6 +265,9 @@ def _decaying_direction(m, side):
     """Float eigendirection of a det-1 2x2 transfer with |trace| > 2:
     the contracting one for side "right", the expanding one for "left"."""
     t = m.a + m.d
+    if abs(t) <= 2:
+        raise ValueError("the %s side needs z in a spectral gap (|trace| > 2), "
+                         "got trace %r" % (side, t))
     s = 1.0 if t >= 0 else -1.0
     lam_big = (t + s * math.sqrt(t * t - 4.0)) / 2.0
     lam = (1.0 / lam_big) if side == "right" else lam_big
@@ -291,7 +285,8 @@ def full_line_kernel_scan(p, z):
     at +inf and the one decaying at -inf, transports both to site 0 with
     per-step renormalisation and returns the absolute matching determinant
     of the two unit directions. Values below 1e-8 mean a kernel cannot be
-    excluded numerically.
+    excluded numerically. Raises ValueError if z is in a band or at a band
+    edge of either side.
     """
     lw, rw, lj, rj = _side_words(p)
     zf = float(to_exact(z))

@@ -2,13 +2,15 @@
 
 A potential is a total, deterministic map Z -> scalars. Its values are kept
 exactly as given, and its regime (see scalars.py) is read off them: the
-strongest regime among its values. Five families are supported:
+strongest regime among its values. Four families are supported:
 
 - periodic: word repeated over Z with a phase,
 - eventually_periodic: a finite core with periodic words tiling both sides,
 - sturmian: the golden-ratio Sturmian 0/1 sequence, evaluated exactly,
-- explicit: a finite window with a constant value outside,
 - random: counter-based pseudo random choices from a finite value set.
+
+A finite window with a constant value outside (explicit) is the eventually
+periodic potential whose side words are both that one value.
 
 All families support exact pointwise evaluation, shifting, reflection about
 the origin and JSON round-trips. Reflection and shifting satisfy
@@ -65,13 +67,13 @@ def _fibonacci_array(lo, hi):
     return np.diff(np.where(k >= 0, f, -f - 1)).astype(float)
 
 
-def _keep_values(p, names, *extra):
+def _keep_values(p, names):
     """Store the named value fields of p as tuples, as given, and set
-    p.regime from them and the extra values."""
+    p.regime from them."""
     words = tuple(tuple(getattr(p, name)) for name in names)
     for name, word in zip(names, words):
         object.__setattr__(p, name, word)
-    object.__setattr__(p, "regime", regime_of_all(sum(words, extra)))
+    object.__setattr__(p, "regime", regime_of_all(sum(words, ())))
 
 
 class Potential:
@@ -224,38 +226,6 @@ class SturmianPotential(Potential):
 
 
 @dataclass(frozen=True)
-class ExplicitPotential(Potential):
-    """Finite window of values with a constant value outside."""
-
-    values: tuple
-    start: int
-    outside: object = 0
-    regime: str = field(default=INTEGER, init=False)
-    kind: str = field(default="explicit", init=False)
-
-    def __post_init__(self):
-        _keep_values(self, ("values",), self.outside)
-
-    def value(self, n):
-        i = n - self.start
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return self.outside
-
-    def shift(self, k):
-        return replace(self, start=self.start - k)
-
-    def reflect(self):
-        return replace(self, values=self.values[::-1],
-                       start=-(self.start + len(self.values) - 1))
-
-    def to_json(self):
-        return {"kind": "explicit", "start": self.start,
-                "window": [encode_scalar(v) for v in self.values],
-                "outside": encode_scalar(self.outside)}
-
-
-@dataclass(frozen=True)
 class RandomPotential(Potential):
     """Deterministic pseudo random choices from a finite value set.
 
@@ -323,7 +293,7 @@ def sturmian(offset=0, orientation=1):
 
 
 def explicit(values, start=0, outside=0):
-    return ExplicitPotential(values, start, outside)
+    return eventually_periodic((outside,), values, start, (outside,))
 
 
 def random_values(seed, values):
@@ -339,7 +309,8 @@ def shift(p, k):
 
 
 def potential_from_json(doc):
-    """Rebuild any potential family from its to_json document.
+    """Rebuild any potential family from its to_json document, or an
+    explicit window ("window", "start", "outside") as eventually periodic.
 
     Entries read as written (numbers as numbers, "p/q" strings as exact
     rationals), and the regime is read off them; the document names none.

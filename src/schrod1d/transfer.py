@@ -152,11 +152,6 @@ class Discriminant:
     def degree(self):
         return pl.degree(self.coeffs)
 
-    def to_json(self):
-        return {"period": self.period,
-                "coeffs": ["%d/%d" % (c.numerator, c.denominator)
-                           for c in self.coeffs]}
-
 
 def symbolic_monodromy(p):
     """One-period transfer with polynomial entries in z, exact over Q.

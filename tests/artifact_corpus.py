@@ -9,9 +9,12 @@ cannot change what the corpus checks.
 
 The corpus covers the `band-structure` words of seeds 1-3, rounds 0-2, the
 `fsm` configs of seed 1, round 0 of `fsm-large` (see bench/workloads.py),
-the four reproductions, and the `fsm-corpus` job of seed 10, round 27, slot
+the four reproductions, the `fsm-corpus` job of seed 10, round 27, slot
 q3 as an `fsm --expect applicable_observed` run: word (-3, 0, 0), whose
-first full-line section [-1, 1] is singular although the FSM applies.
+first full-line section [-1, 1] is singular although the FSM applies, and
+two `fsm` runs on explicit windows (a half-line one with rational entries
+at z = 0, a full-line one with integer entries at z = 1/2), 144 entries in
+all.
 `bands`, `reproduce fibonacci-prefix` and `reproduce integer-avoidance`
 outputs depend on exact arithmetic only; the `fsm` entries and the other
 reproductions also hold LAPACK floats, so their digests are those of one

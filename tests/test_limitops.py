@@ -148,6 +148,15 @@ def test_kernel_scan_clear_for_constant():
     assert scan["matching_det"] > 1e-2
 
 
+@pytest.mark.parametrize("p", [
+    pot.periodic([1, 0, 1]),  # z = 0 at a band edge: trace 2
+    pot.explicit([1, 2])],  # z = 0 inside the band [-2, 2] of the 0 word
+    ids=["band-edge", "in-band"])
+def test_kernel_scan_needs_a_gap(p):
+    with pytest.raises(ValueError, match="spectral gap"):
+        lo.full_line_kernel_scan(p, 0)
+
+
 @given(st.one_of(
     st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=8),
     st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
@@ -173,6 +182,9 @@ def test_applicability_input_checks():
         lo.is_fredholm(pot.periodic([0.5]), 0)
     with pytest.raises(TypeError):
         lo.limit_operators(pot.sturmian())
+    for side in ("middle", "both", ""):
+        with pytest.raises(ValueError, match="side must be"):
+            lo.limit_operators(pot.periodic([4]), side=side)
 
 
 @pytest.mark.parametrize("word", [(0.5, 1.0), (1, 2, 0.25)])

@@ -91,6 +91,18 @@ def test_explicit_window_and_outside():
     assert p.value(100) == 1 and p.value(-100) == 1
 
 
+def test_explicit_document_is_eventually_periodic():
+    # a window with a constant outside is the eventually periodic potential
+    # whose side words are both that constant
+    p = pot.potential_from_json({"kind": "explicit", "window": [1, "1/2", -3],
+                                 "start": -1, "outside": "5/2"})
+    q = pot.potential_from_json({"kind": "eventually_periodic",
+                                 "left_word": ["5/2"], "core": [1, "1/2", -3],
+                                 "core_start": -1, "right_word": ["5/2"]})
+    assert p == q and p.kind == "eventually_periodic"
+    assert pot.potential_from_json(p.to_json()) == p
+
+
 def test_sturmian_matches_block_construction():
     length = 4000
     word = golden_word(length)
@@ -126,7 +138,7 @@ def test_values_are_kept_as_given():
     assert type(p.word[0]) is int and p.word[0] == 1
     assert p.regime == RATIONAL
     q = pot.explicit([2, 3], outside=0.5)
-    assert [type(v) for v in q.values + (q.outside,)] == [int, int, float]
+    assert [type(v) for v in q.core + q.left_word] == [int, int, float]
     assert q.regime == FLOAT
     r = pot.eventually_periodic([1], [F(3, 2)], 0, [2])
     assert type(r.value(-1)) is int and r.regime == RATIONAL
