@@ -11,8 +11,7 @@ from .fsm import (CutoffSequence, FsmReport, GridVector, ReferenceInconclusive,
                   run_fsm, solve_section, stability_scan)
 from .limitops import (ApplicabilityReport, EssentialSpectrum, FredholmResult,
                        LimitOperator, essential_spectrum, fsm_applicability,
-                       full_line_kernel_scan, halfline_invertible, is_fredholm,
-                       limit_operators)
+                       halfline_invertible, is_fredholm, limit_operators)
 from .potential import (EventuallyPeriodicPotential, PeriodicPotential,
                         RandomPotential, SturmianPotential,
                         eventually_periodic, explicit, fibonacci_value,
@@ -45,7 +44,7 @@ __all__ = [
     "dirichlet_eigenvalues", "dirichlet_orbit", "discriminant",
     "essential_spectrum", "eventually_periodic", "explicit",
     "fibonacci_value", "finite_section_determinant", "fsm_applicability",
-    "full_line_kernel_scan", "halfline_invertible", "is_fredholm",
+    "halfline_invertible", "is_fredholm",
     "limit_operators", "monodromy",
     "monodromy_dirichlet_test", "periodic",
     "potential_from_json", "random_values", "reference_solution", "reflect",

@@ -197,7 +197,7 @@ def cmd_fsm(args):
     p, z, scheme, rhs, count = _read_config(args.config, "fsm")
     try:
         report = run_fsm(p, z, scheme, rhs=rhs, count=count)
-    except OverflowError as exc:  # raised before any section is solved
+    except OverflowError as exc:  # raised before any output is written
         raise UsageError("config value out of float range: %s" % exc)
     out = _outdir(args)
     jsonio.write_json(os.path.join(out, "fsm_report.json"), report)

@@ -18,15 +18,13 @@ operators built from the limit words are all invertible:
     (d) the half-line operator itself invertible,
     (e) every right limit rotation, compressed to (-inf, -1], invertible.
 
-All one-sided conditions are decided exactly over Q. Condition (a) is exact
-for periodic potentials; for genuinely two-sided-different potentials it
-needs the decaying solutions at both ends, whose directions are quadratic
-irrationals, so a floating-point shooting match is used and a matching
-determinant below 1e-8 is reported as undetermined rather than asserted
-either way.
+Every condition is decided exactly over Q. For (a) the solutions decaying
+at either end start along eigenvectors of the rational side monodromies,
+whose entries lie in Q(sqrt D) with D = trace^2 - 4; H - z has a kernel
+iff the rational core transfer carries the left one onto the right one,
+a sign question in Q(sqrt D_L, sqrt D_R).
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,8 +32,6 @@ from .potential import EventuallyPeriodicPotential, PeriodicPotential, periodic
 from .scalars import INTEGER, RATIONAL, RegimeError, to_exact
 from .spectral import bands
 from .transfer import monodromy, monodromy_dirichlet_test, transfer_product
-
-KERNEL_SUSPECT_TOL = 1e-8
 
 
 def _side_words(p):
@@ -221,9 +217,12 @@ def halfline_invertible(p, z):
 
 @dataclass(frozen=True)
 class ConditionResult:
-    holds: object  # True | False | None (undetermined)
+    """One applicability condition, decided exactly: holds is a bool."""
+
+    holds: bool
     summary: str
-    items: tuple  # per-rotation (residue, InvertibilityResult) or scan data
+    items: tuple  # per-rotation (residue, InvertibilityResult, cert) or
+    # the FredholmResult / InvertibilityResult the verdict rests on
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ class ApplicabilityReport:
     operator: str
     z: object
     conditions: dict  # key -> ConditionResult
-    applicable: object  # True | False | None
+    applicable: bool
 
 
 def _rotation_condition(word, z, compress, integer_certificates):
@@ -261,64 +260,30 @@ def _rotation_condition(word, z, compress, integer_certificates):
     return ConditionResult(holds=holds, summary=summary, items=tuple(items))
 
 
-def _decaying_direction(m, side):
-    """Float eigendirection of a det-1 2x2 transfer with |trace| > 2:
-    the contracting one for side "right", the expanding one for "left"."""
-    t = m.a + m.d
-    if abs(t) <= 2:
-        raise ValueError("the %s side needs z in a spectral gap (|trace| > 2), "
-                         "got trace %r" % (side, t))
-    s = 1.0 if t >= 0 else -1.0
-    lam_big = (t + s * math.sqrt(t * t - 4.0)) / 2.0
-    lam = (1.0 / lam_big) if side == "right" else lam_big
-    v1 = (m.b, lam - m.a)
-    v2 = (lam - m.d, m.c)
-    v = v1 if (v1[0] * v1[0] + v1[1] * v1[1]) >= (v2[0] * v2[0] + v2[1] * v2[1]) else v2
-    n = math.hypot(*v)
-    return (v[0] / n, v[1] / n), lam
+def _sign(x, d):
+    """Exact sign of x[0] + x[1] sqrt(d), for rationals x and d >= 0."""
+    s0 = (x[0] > 0) - (x[0] < 0)
+    s1 = (x[1] > 0) - (x[1] < 0)
+    if s0 == s1 or not s1:
+        return s0
+    if not s0:
+        return s1
+    r = x[0] * x[0] - x[1] * x[1] * d
+    return s0 * ((r > 0) - (r < 0))
 
 
-def full_line_kernel_scan(p, z):
-    """Float shooting match for a kernel of H - z on the full line.
-
-    Requires z in a spectral gap of both sides. Builds the solution decaying
-    at +inf and the one decaying at -inf, transports both to site 0 with
-    per-step renormalisation and returns the absolute matching determinant
-    of the two unit directions. Values below 1e-8 mean a kernel cannot be
-    excluded numerically. Raises ValueError if z is in a band or at a band
-    edge of either side.
-    """
-    lw, rw, lj, rj = _side_words(p)
-    zf = float(to_exact(z))
-
-    def transport_to_zero(vec, site):
-        x, y = vec
-        n = site
-        while n > 0:  # (x, y) holds (x_{n-1}, x_n); go down
-            n -= 1
-            x, y = (zf - p.value(n)) * x - y, x
-            m = max(abs(x), abs(y))
-            x, y = x / m, y / m
-        while n < 0:  # go up
-            x, y = y, (zf - p.value(n)) * y - x
-            m = max(abs(x), abs(y))
-            x, y = x / m, y / m
-            n += 1
-        h = math.hypot(x, y)
-        return (x / h, y / h)
-
-    m_r = transfer_product(p, zf, max(rj, 0), max(rj, 0) + len(rw) - 1)
-    u_plus, lam_r = _decaying_direction(m_r, "right")
-    u_plus = transport_to_zero(u_plus, max(rj, 0))
-
-    a_l = min(lj, 0)
-    m_l = transfer_product(p, zf, a_l - len(lw), a_l - 1)
-    u_minus, lam_l = _decaying_direction(m_l, "left")
-    u_minus = transport_to_zero(u_minus, a_l)
-
-    det = abs(u_minus[0] * u_plus[1] - u_minus[1] * u_plus[0])
-    return {"matching_det": det, "right_multiplier": lam_r,
-            "left_multiplier": lam_l}
+def _floquet_direction(m, contracting):
+    """Eigenvector of the det-1 transfer m in a gap (|trace| > 2), the
+    contracting or the expanding one, as two pairs over Q(sqrt D),
+    D = trace^2 - 4. With 2 lambda = trace + s sqrt D it is the column
+    (2 m12, 2 lambda - 2 m11), or (2 lambda - 2 m22, 2 m21) where that one
+    vanishes (m12 = 0)."""
+    d = m.trace() * m.trace() - 4
+    s = 1 if (m.trace() > 0) != contracting else -1
+    v = ((2 * m.b, 0), (m.d - m.a, s))
+    if not m.b and _sign(v[1], d) == 0:
+        v = ((m.a - m.d, s), (2 * m.c, 0))
+    return v, d
 
 
 def _full_line_invertible_condition(p, z):
@@ -329,22 +294,35 @@ def _full_line_invertible_condition(p, z):
             summary="z in the essential spectrum (side %s, %s)"
                     % (fred.witness_side, fred.side_position[fred.witness_side]),
             items=(fred,))
-    if isinstance(p, PeriodicPotential):
-        # periodic full-line spectrum is purely essential
-        return ConditionResult(holds=True, summary="periodic: gap point, exact",
-                               items=(fred,))
-    scan = full_line_kernel_scan(p, z)
-    if scan["matching_det"] < KERNEL_SUSPECT_TOL:
+    # in a gap of both sides, H - z is invertible iff no solution decays at
+    # both ends: the left decaying direction, carried across the core,
+    # must not be the right one
+    lw, rw, lj, rj = _side_words(p)
+    (x, y), d_r = _floquet_direction(
+        transfer_product(p, z, rj, rj + len(rw) - 1), contracting=True)
+    (u, w), d_l = _floquet_direction(
+        transfer_product(p, z, lj - len(lw), lj - 1), contracting=False)
+    core = transfer_product(p, z, lj, rj - 1)
+    # the left direction carried to rj, split into its rational part (k = 0)
+    # and its sqrt(d_l) part (k = 1): det [core (u, w), (x, y)] is
+    # P + Q sqrt(d_l), with P, Q in Q(sqrt d_r)
+    (p0, p1), (q0, q1) = (
+        (top * y[0] - bottom * x[0], top * y[1] - bottom * x[1])
+        for top, bottom in (core.apply((u[k], w[k])) for k in range(2)))
+    # W = 0 iff P^2 - d_l Q^2 = 0 and sign P = -sign Q
+    norm = (p0 * p0 + p1 * p1 * d_r - d_l * (q0 * q0 + q1 * q1 * d_r),
+            2 * (p0 * p1 - d_l * q0 * q1))
+    if _sign(norm, d_r) == 0 and \
+            _sign((p0, p1), d_r) == -_sign((q0, q1), d_r):
         return ConditionResult(
-            holds=None,
-            summary="kernel suspected: matching determinant %.3e < %g"
-                    % (scan["matching_det"], KERNEL_SUSPECT_TOL),
-            items=(fred, scan))
+            holds=False,
+            summary="kernel: the solutions decaying at both ends match, exact",
+            items=(fred,))
     return ConditionResult(
         holds=True,
-        summary="Fredholm and no kernel (matching determinant %.3e)"
-                % scan["matching_det"],
-        items=(fred, scan))
+        summary="Fredholm and no kernel: the decaying solutions are "
+                "independent, exact",
+        items=(fred,))
 
 
 def _half_line_invertible_condition(p, z):
@@ -359,9 +337,9 @@ def fsm_applicability(p, z=0, operator="full_line"):
     """Decide the applicability conditions of the finite section method.
 
     Returns a report with one ConditionResult per condition ("a","b","c" for
-    full-line sections, "d","e" for half-line sections). holds is True or
-    False when decided exactly, None when only a float scan was available
-    (two-sided kernel search). applicable follows the same convention.
+    full-line sections, "d","e" for half-line sections). Each is decided
+    exactly over Q, so holds is True or False, and applicable is True iff
+    every condition holds.
     """
     if operator not in ("full_line", "half_line"):
         raise ValueError("operator must be full_line or half_line")
@@ -378,11 +356,5 @@ def fsm_applicability(p, z=0, operator="full_line"):
     else:
         conds["d"] = _half_line_invertible_condition(p, zf)
         conds["e"] = _rotation_condition(rw, zf, "minus", integer_certs)
-    if any(c.holds is False for c in conds.values()):
-        applicable = False
-    elif any(c.holds is None for c in conds.values()):
-        applicable = None
-    else:
-        applicable = True
     return ApplicabilityReport(operator=operator, z=z, conditions=conds,
-                               applicable=applicable)
+                               applicable=all(c.holds for c in conds.values()))

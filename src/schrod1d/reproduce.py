@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fsm import CutoffSequence, SectionScheme, run_fsm, stability_scan
-from .limitops import (fsm_applicability, full_line_kernel_scan,
-                       halfline_invertible, is_fredholm, limit_operators)
+from .limitops import (fsm_applicability, halfline_invertible, is_fredholm,
+                       limit_operators)
 from .potential import eventually_periodic, periodic, sturmian
 from .prng import CounterRng
 from .rings import RingSpec, validate_ring
@@ -72,10 +72,6 @@ def halfline_dirichlet_defect():
     checks.append(Check(
         "fullline_invertible", rep_full.conditions["a"].holds is True,
         rep_full.conditions["a"].summary))
-    scan = full_line_kernel_scan(w, 0)
-    checks.append(Check(
-        "fullline_kernel_scan", scan["matching_det"] > 1e-8,
-        "two-sided matching determinant %.6f" % scan["matching_det"]))
     ds = dirichlet_eigenvalues(w)
     exact_zero = any(e.lo == 0 and e.hi == 0 for e in ds.eigenvalues)
     checks.append(Check(
@@ -116,7 +112,6 @@ def halfline_dirichlet_defect():
         "dirichlet_eigenvalues": [e.approx for e in ds.eigenvalues],
         "stability_ratio_per_period": sc.ratio_per_period,
         "fsm_verdict": fr.verdict,
-        "kernel_scan_det": scan["matching_det"],
     }
     return _finish("example-4-1", checks, data)
 
@@ -191,8 +186,10 @@ def twosided_kernel():
         "b: %s; c: %s" % (rep.conditions["b"].summary,
                           rep.conditions["c"].summary)))
     checks.append(Check(
-        "kernel_detected_by_scan", rep.conditions["a"].holds is None,
-        rep.conditions["a"].summary))
+        "kernel_decided_exactly",
+        rep.conditions["a"].holds is False and rep.applicable is False,
+        "a: %s; applicable: %s" % (rep.conditions["a"].summary,
+                                   rep.applicable)))
     data = {
         "trace": -3,
         "eigenvalues": [(-3 - math.sqrt(5)) / 2, lam],

@@ -481,6 +481,8 @@ def smallest_singular_value(p, size, z, start=0):
     The section is symmetric, so the singular values are |lambda - z| over
     section eigenvalues lambda; only the two eigenvalues adjacent to z are
     computed (bisection with index selection after an inertia count).
+    Raises OverflowError when LAPACK's bisection cannot bound the section
+    (entries near the float limit, such as 1e308, leave it no eigenvalue).
     """
     if size < 1:
         raise ValueError("section size must be positive")
@@ -493,4 +495,7 @@ def smallest_singular_value(p, size, z, start=0):
     ev = eigvalsh_tridiagonal(d, e, select='i',
                               select_range=(idx[0], idx[-1]),
                               lapack_driver='stebz')
+    if not ev.size:
+        raise OverflowError("section entries too large for the eigenvalue "
+                            "bisection")
     return float(np.min(np.abs(ev - zf)))

@@ -15,10 +15,10 @@ first full-line section [-1, 1] is singular although the FSM applies, and
 two `fsm` runs on explicit windows (a half-line one with rational entries
 at z = 0, a full-line one with integer entries at z = 1/2), 144 entries in
 all.
-`bands`, `reproduce fibonacci-prefix` and `reproduce integer-avoidance`
-outputs depend on exact arithmetic only; the `fsm` entries and the other
-reproductions also hold LAPACK floats, so their digests are those of one
-numpy/scipy build: numpy 2.4.6 and scipy 1.17.1 on x86-64, the versions the
+`bands`, `reproduce example-4-2`, `reproduce fibonacci-prefix` and
+`reproduce integer-avoidance` outputs depend on exact arithmetic and Python
+floats only; the `fsm` entries and `reproduce example-4-1` also hold LAPACK
+floats, so their digests are those of one numpy/scipy build: numpy 2.4.6 and scipy 1.17.1 on x86-64, the versions the
 `tests` job of .github/workflows/tests.yml installs.
 
 tests/test_artifact_corpus.py runs those exact-only entries; run every

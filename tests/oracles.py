@@ -10,18 +10,21 @@ Yun's square-free decomposition (Yun 1976) in place of the package's
 gcd tower for counting roots with multiplicity, bands paired by the sign
 of disc^2 - 4 between edges in place of root multiplicity, unit-root grid
 moduli summed numerically at 60 digits in place of the exact value-ring
-route, and
+route,
 the general (d, e) inertia recursion over numpy scalars in place of the
-package's unit off-diagonal loop over Python floats.
+package's unit off-diagonal loop over Python floats, and a float shooting
+match of the decaying solutions in place of the exact two-sided kernel
+test over Q(sqrt D_L, sqrt D_R).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, lcm, pi, sqrt
+from math import cos, hypot, lcm, pi, sqrt
 
 import mpmath
 
 import schrod1d.polynomials as pl
+from schrod1d.potential import PeriodicPotential
 
 
 def bareiss_determinant(rows):
@@ -328,3 +331,77 @@ def ring_modulus_class(n, coeffs):
         if m2 < RING_MARGIN:
             return "zero"
         return "below_one" if m2 < 1 - RING_MARGIN else "at_least_one"
+
+
+def _float_transfer(p, z, l, r):
+    """Entries (a, b, c, d) of T_z(r) ... T_z(l) in floats."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for n in range(l, r + 1):
+        t = z - float(p.value(n))
+        a, b, c, d = c, d, t * c - a, t * d - b
+    return a, b, c, d
+
+
+def _decaying_direction(m, side):
+    """Unit eigendirection of a det-1 2x2 transfer with |trace| > 2 and its
+    eigenvalue: the contracting one for side "right", the expanding one for
+    "left"."""
+    a, b, c, d = m
+    t = a + d
+    if abs(t) <= 2:
+        raise ValueError("the %s side needs z in a spectral gap (|trace| > 2), "
+                         "got trace %r" % (side, t))
+    s = 1.0 if t >= 0 else -1.0
+    lam_big = (t + s * sqrt(t * t - 4.0)) / 2.0
+    lam = (1.0 / lam_big) if side == "right" else lam_big
+    v1 = (b, lam - a)
+    v2 = (lam - d, c)
+    v = v1 if hypot(*v1) >= hypot(*v2) else v2
+    n = hypot(*v)
+    return (v[0] / n, v[1] / n), lam
+
+
+def full_line_kernel_scan(p, z):
+    """Float shooting match for a kernel of H - z on the full line, for a
+    periodic or eventually periodic potential with z in a spectral gap of
+    both side words (ValueError otherwise).
+
+    The solutions decaying at +inf and at -inf are transported to site 0
+    with per-step renormalisation; returns the absolute matching
+    determinant of their unit directions (below 1e-8: a kernel cannot be
+    excluded) and the two Floquet multipliers.
+    """
+    if isinstance(p, PeriodicPotential):
+        lw = rw = tuple(p.value(n) for n in range(p.period))
+        lj = rj = 0
+    else:
+        lw, rw, lj, rj = p.left_word, p.right_word, p.core_start, p.right_start
+    zf = float(z)
+
+    def transport_to_zero(vec, site):
+        x, y = vec
+        n = site
+        while n > 0:  # (x, y) holds (x_{n-1}, x_n); go down
+            n -= 1
+            x, y = (zf - float(p.value(n))) * x - y, x
+            m = max(abs(x), abs(y))
+            x, y = x / m, y / m
+        while n < 0:  # go up
+            x, y = y, (zf - float(p.value(n))) * y - x
+            m = max(abs(x), abs(y))
+            x, y = x / m, y / m
+            n += 1
+        h = hypot(x, y)
+        return (x / h, y / h)
+
+    r0 = max(rj, 0)
+    u_plus, lam_r = _decaying_direction(
+        _float_transfer(p, zf, r0, r0 + len(rw) - 1), "right")
+    u_plus = transport_to_zero(u_plus, r0)
+    l0 = min(lj, 0)
+    u_minus, lam_l = _decaying_direction(
+        _float_transfer(p, zf, l0 - len(lw), l0 - 1), "left")
+    u_minus = transport_to_zero(u_minus, l0)
+    det = abs(u_minus[0] * u_plus[1] - u_minus[1] * u_plus[0])
+    return {"matching_det": det, "right_multiplier": lam_r,
+            "left_multiplier": lam_l}

@@ -1,7 +1,9 @@
 """End-to-end acceptance checks, one test per shipped criterion.
 
 Each test enforces its stated tolerances and runtime budget and records a
-single PASS/FAIL line that conftest.py prints in the run summary.
+single PASS/FAIL line that conftest.py prints in the run summary. Beside
+criteria 3 and 4, a property test states the paper's claim about integer
+potentials at integer points exactly; it records no line.
 """
 
 import math
@@ -9,6 +11,7 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 import schrod1d.fsm as fsm
 import schrod1d.limitops as lo
@@ -291,6 +294,31 @@ def test_criterion_4_fsm_applicable_corpus():
                min_floor_ratio, len(full_floor_bad),
                len(band_dips) - len(witness_bad), len(band_dips)),
             elapsed, limit=300.0)
+
+
+_INTEGER_WORDS = st.lists(st.integers(min_value=-5, max_value=5), min_size=1,
+                         max_size=6)
+
+
+@given(_INTEGER_WORDS, st.lists(st.integers(min_value=-5, max_value=5),
+                                max_size=4),
+       st.integers(min_value=-6, max_value=6), _INTEGER_WORDS,
+       st.integers(min_value=-8, max_value=8))
+@settings(max_examples=150, deadline=None)
+def test_integer_fredholm_points_reduce_to_condition_a(left, core, start,
+                                                       right, z):
+    """The paper's claim behind criteria 3 and 4, decided exactly: for an
+    integer eventually periodic potential at integer z with H - z Fredholm,
+    no limit compression has z as a Dirichlet eigenvalue, so conditions
+    (b), (c) and (e) hold and the FSM applies iff H - z is invertible."""
+    p = pot.eventually_periodic(left, core, start, right)
+    assume(lo.is_fredholm(p, z).fredholm)
+    full = lo.fsm_applicability(p, z)
+    assert full.conditions["b"].holds is True
+    assert full.conditions["c"].holds is True
+    assert full.applicable is full.conditions["a"].holds
+    half = lo.fsm_applicability(p, z, "half_line")
+    assert half.conditions["e"].holds is True
 
 
 def test_criterion_5_exact_oracle_equivalence():

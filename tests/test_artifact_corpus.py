@@ -2,10 +2,10 @@ import pytest
 
 import artifact_corpus
 
-# Every band-structure word and the two reproductions whose outputs depend
-# on exact arithmetic only, so no numpy or LAPACK build changes their bytes;
-# CI runs every entry (python tests/artifact_corpus.py).
-SLICE = ("bands/", "reproduce/fibonacci-prefix",
+# Every band-structure word and the three reproductions whose outputs depend
+# on exact arithmetic and Python floats only, so no numpy or LAPACK build
+# changes their bytes; CI runs every entry (python tests/artifact_corpus.py).
+SLICE = ("bands/", "reproduce/example-4-2", "reproduce/fibonacci-prefix",
          "reproduce/integer-avoidance")
 
 

@@ -265,6 +265,10 @@ MALFORMED = [
     pytest.param("fsm", _fsm_doc(z=[1, 1]), id="fsm-z-pair"),
     pytest.param("fsm", dict(_fsm_doc(), **_word([10 ** 400, 1])),
                  id="fsm-huge-int-word"),
+    # in float range, but LAPACK's eigenvalue bisection overflows bounding
+    # the sections and returns no eigenvalue
+    pytest.param("fsm", dict(_fsm_doc(), **_word([1e308, -1e308])),
+                 id="fsm-word-beyond-bisection-range"),
     pytest.param("bands", _word(["1/0", 1]), id="bands-zero-denominator"),
     pytest.param("fsm", dict(_fsm_doc(), **_word(["1/0", 1])),
                  id="fsm-zero-denominator"),

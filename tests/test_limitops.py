@@ -2,13 +2,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import schrod1d.limitops as lo
 import schrod1d.potential as pot
 import schrod1d.transfer as tr
 from schrod1d.prng import CounterRng
 from schrod1d.scalars import RegimeError
+from oracles import full_line_kernel_scan
 
 
 def distance_to(ess, z):
@@ -129,14 +130,14 @@ def test_applicability_halfline_eigenvalue_blocks():
     assert full.applicable is False
 
 
-def test_applicability_two_sided_kernel_suspected():
+def test_applicability_two_sided_kernel_decided():
     p = kernel_example()
     rep = lo.fsm_applicability(p, 0)
     assert rep.conditions["b"].holds is True
     assert rep.conditions["c"].holds is True
-    assert rep.conditions["a"].holds is None
-    assert rep.applicable is None
-    scan = lo.full_line_kernel_scan(p, 0)
+    assert rep.conditions["a"].holds is False
+    assert rep.applicable is False
+    scan = full_line_kernel_scan(p, 0)
     assert scan["matching_det"] < 1e-12
     lam = (-3 + math.sqrt(5)) / 2
     assert abs(scan["right_multiplier"] - lam) < 1e-12
@@ -144,7 +145,7 @@ def test_applicability_two_sided_kernel_suspected():
 
 
 def test_kernel_scan_clear_for_constant():
-    scan = lo.full_line_kernel_scan(pot.periodic([4]), 0)
+    scan = full_line_kernel_scan(pot.periodic([4]), 0)
     assert scan["matching_det"] > 1e-2
 
 
@@ -154,7 +155,57 @@ def test_kernel_scan_clear_for_constant():
     ids=["band-edge", "in-band"])
 def test_kernel_scan_needs_a_gap(p):
     with pytest.raises(ValueError, match="spectral gap"):
-        lo.full_line_kernel_scan(p, 0)
+        full_line_kernel_scan(p, 0)
+
+
+def _kernel_cases():
+    ex = kernel_example()
+    cases = [pytest.param(ex, 0, False, id="example-4-2"),
+             pytest.param(pot.reflect(ex), 0, False, id="example-4-2-reflected")]
+    cases += [pytest.param(pot.shift(ex, k), 0, False,
+                           id="example-4-2-shift%d" % k)
+              for k in (-40, -7, -1, 1, 5, 12, 40)]
+    # one site 3/2 in the free word: x(n) = 2^-|n - s| at z = 5/2, where
+    # D = 9/4 is a square
+    cases += [pytest.param(pot.explicit([F(3, 2)], s, 0), F(5, 2), False,
+                           id="explicit-three-halves-at-%d" % s) for s in (-3, 0, 4)]
+    # m12 = m21 = 0 at z = 0 on both sides: M(0) = diag(2, 1/2)
+    cases.append(pytest.param(pot.periodic([F(1, 2), 2, F(1, 2)]), 0, True,
+                              id="example-4-1-word"))
+    cases.append(pytest.param(pot.explicit([F(3, 2)]), F(7, 3), True,
+                              id="explicit-three-halves-off-eigenvalue"))
+    return cases
+
+
+@pytest.mark.parametrize("p,z,invertible", _kernel_cases())
+def test_full_line_kernel_decided_exactly(p, z, invertible):
+    cond = lo.fsm_applicability(p, z).conditions["a"]
+    assert cond.holds is invertible
+    assert (full_line_kernel_scan(p, z)["matching_det"] < 1e-8) \
+        is not invertible
+
+
+_SIDE_ENTRIES = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+@given(st.lists(_SIDE_ENTRIES, min_size=1, max_size=5),
+       st.lists(_SIDE_ENTRIES, max_size=4),
+       st.integers(min_value=-6, max_value=6),
+       st.lists(_SIDE_ENTRIES, min_size=1, max_size=5),
+       st.fractions(min_value=-8, max_value=8, max_denominator=4))
+@settings(max_examples=200, deadline=None)
+def test_full_line_kernel_matches_float_oracle(left, core, start, right, z):
+    # exact condition (a) against the float shooting match, at rational z in
+    # a gap of both side words; every verdict is a plain bool
+    p = pot.eventually_periodic(left, core, start, right)
+    rep = lo.fsm_applicability(p, z)
+    assert all(type(c.holds) is bool for c in rep.conditions.values())
+    assert type(rep.applicable) is bool
+    assume(lo.is_fredholm(p, z).fredholm)
+    kernel = full_line_kernel_scan(p, z)["matching_det"] < 1e-8
+    assert rep.conditions["a"].holds is not kernel
 
 
 @given(st.one_of(
