@@ -349,8 +349,8 @@ def _decaying_direction(m, side):
     a, b, c, d = m
     t = a + d
     if abs(t) <= 2:
-        raise ValueError("the %s side needs z in a spectral gap (|trace| > 2), "
-                         "got trace %r" % (side, t))
+        raise ValueError("the %s side needs z in a spectral gap "
+                         "(|trace| > 2), got trace %r" % (side, t))
     s = 1.0 if t >= 0 else -1.0
     lam_big = (t + s * sqrt(t * t - 4.0)) / 2.0
     lam = (1.0 / lam_big) if side == "right" else lam_big

@@ -161,14 +161,16 @@ def test_kernel_scan_needs_a_gap(p):
 def _kernel_cases():
     ex = kernel_example()
     cases = [pytest.param(ex, 0, False, id="example-4-2"),
-             pytest.param(pot.reflect(ex), 0, False, id="example-4-2-reflected")]
+             pytest.param(pot.reflect(ex), 0, False,
+                          id="example-4-2-reflected")]
     cases += [pytest.param(pot.shift(ex, k), 0, False,
                            id="example-4-2-shift%d" % k)
               for k in (-40, -7, -1, 1, 5, 12, 40)]
     # one site 3/2 in the free word: x(n) = 2^-|n - s| at z = 5/2, where
     # D = 9/4 is a square
     cases += [pytest.param(pot.explicit([F(3, 2)], s, 0), F(5, 2), False,
-                           id="explicit-three-halves-at-%d" % s) for s in (-3, 0, 4)]
+                           id="explicit-three-halves-at-%d" % s)
+              for s in (-3, 0, 4)]
     # m12 = m21 = 0 at z = 0 on both sides: M(0) = diag(2, 1/2)
     cases.append(pytest.param(pot.periodic([F(1, 2), 2, F(1, 2)]), 0, True,
                               id="example-4-1-word"))
