@@ -204,11 +204,16 @@ def solve_section(p, z, l, r, rhs):
     rhs is a GridVector (restricted to the window). The residual is verified
     by direct multiplication against 1e-10 * ||rhs||; up to two iterative
     refinement steps are attempted before declaring the section singular.
+    Raises OverflowError when a diagonal entry v(n) - z is not finite.
     """
     if r < l:
         raise ValueError("empty section")
     b = rhs.restricted(l, r)
-    d = _tridiag_data(p, l, r)[0] - float(z)
+    with np.errstate(over='ignore'):
+        d = _tridiag_data(p, l, r)[0] - float(z)
+    if not np.all(np.isfinite(d)):
+        raise OverflowError("v(n) - z beyond the float range on [%d, %d]"
+                            % (l, r))
     ab = np.zeros((3, r - l + 1))
     ab[0, 1:] = 1.0
     ab[1] = d

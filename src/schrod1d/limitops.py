@@ -18,11 +18,13 @@ operators built from the limit words are all invertible:
     (d) the half-line operator itself invertible,
     (e) every right limit rotation, compressed to (-inf, -1], invertible.
 
-Every condition is decided exactly over Q. For (a) the solutions decaying
-at either end start along eigenvectors of the rational side monodromies,
-whose entries lie in Q(sqrt D) with D = trace^2 - 4; H - z has a kernel
-iff the rational core transfer carries the left one onto the right one,
-a sign question in Q(sqrt D_L, sqrt D_R).
+Every condition is decided exactly over Q from the Floquet directions of
+the rational side monodromies in a gap, vectors over Q(sqrt D) with
+D = trace^2 - 4. (a) and (d) fail iff the left decaying direction, or the
+Dirichlet vector (0, 1), carried across the core spans the right
+contracting one; rotation r fails in (b), (c), (e) iff the decaying
+solution of the word vanishes at site -r - 1, so one walk across the
+period decides every rotation.
 """
 
 from dataclasses import dataclass
@@ -170,49 +172,34 @@ class InvertibilityResult:
     detail: dict
 
 
-def _halfline_invertible_from_junction(p, z, junction, word_len):
-    """Exact invertibility of the Dirichlet compression to [0, inf) of a
-    potential that is periodic (period word_len) from site `junction` on.
-
-    The orbit x_{-1} = 0, x_0 = 1 is propagated exactly to the junction;
-    z is an eigenvalue iff that vector spans the contracting eigendirection
-    of the one-period transfer there. For junction = 0 this is the classical
-    m12(z) = 0 and |m22(z)| < 1 criterion. The discriminant at z is the
-    trace of that transfer.
-    """
-    if p.regime not in (INTEGER, RATIONAL):
-        raise RegimeError("half-line invertibility is decided over Q only")
-    zf = to_exact(z)
-    m = transfer_product(p, zf, junction, junction + word_len - 1)
-    disc_val = m.trace()
-    if abs(disc_val) < 2:
-        return InvertibilityResult(False, "in_band", {"disc": disc_val})
-    if abs(disc_val) == 2:
-        return InvertibilityResult(False, "band_edge", {"disc": disc_val})
-    # propagate the Dirichlet data to the junction, exactly
-    u = (Fraction(0), Fraction(1))  # so the multiplier division is exact
-    m_in = transfer_product(p, zf, 0, junction - 1)  # identity if junction <= 0
-    u = m_in.apply(u)
-    w = m.apply(u)
-    wronskian = w[0] * u[1] - w[1] * u[0]
-    detail = {"disc": disc_val, "wronskian": wronskian}
-    if wronskian != 0:
-        return InvertibilityResult(True, "invertible", detail)
-    lam = w[0] / u[0] if u[0] != 0 else w[1] / u[1]
-    detail["multiplier"] = lam
-    if abs(lam) < 1:
-        return InvertibilityResult(False, "eigenvalue", detail)
-    return InvertibilityResult(True, "invertible", detail)
-
-
 def halfline_invertible(p, z):
     """Exact invertibility of the Dirichlet half-line compression of p.
 
     p must be periodic or eventually periodic; only the part of p on
-    [0, inf) matters.
+    [0, inf) matters. In a gap of the right word, z is an eigenvalue iff
+    the Dirichlet vector (0, 1), carried to j = max(right_start, 0), spans
+    the contracting direction of the period transfer there (for j = 0:
+    m12(z) = 0 and |m22(z)| < 1); detail holds its trace and then the
+    multiplier, a rational.
     """
     _, rw, _, rj = _side_words(p)
-    return _halfline_invertible_from_junction(p, z, max(rj, 0), len(rw))
+    if p.regime not in (INTEGER, RATIONAL):
+        raise RegimeError("half-line invertibility is decided over Q only")
+    zf = to_exact(z)
+    j = max(rj, 0)
+    m = transfer_product(p, zf, j, j + len(rw) - 1)
+    detail = {"disc": m.trace()}
+    if abs(detail["disc"]) < 2:
+        return InvertibilityResult(False, "in_band", detail)
+    if abs(detail["disc"]) == 2:
+        return InvertibilityResult(False, "band_edge", detail)
+    core = transfer_product(p, zf, 0, j - 1)  # identity if j = 0
+    if not _decays(((0, 0), (1, 0)), 0, core, m):
+        return InvertibilityResult(True, "invertible", detail)
+    u = core.apply((0, 1))
+    k = 0 if u[0] else 1
+    detail["multiplier"] = Fraction(m.apply(u)[k], u[k])
+    return InvertibilityResult(False, "eigenvalue", detail)
 
 
 @dataclass(frozen=True)
@@ -221,8 +208,9 @@ class ConditionResult:
 
     holds: bool
     summary: str
-    items: tuple  # per-rotation (residue, InvertibilityResult, cert) or
-    # the FredholmResult / InvertibilityResult the verdict rests on
+    items: tuple  # per-rotation (residue, monodromy_dirichlet_test
+    # certificate) for an integer word at integral z in a gap, or the
+    # FredholmResult / InvertibilityResult the verdict rests on
 
 
 @dataclass(frozen=True)
@@ -236,28 +224,36 @@ class ApplicabilityReport:
 def _rotation_condition(word, z, compress, integer_certificates):
     """Test all rotations of `word` under the one-sided compression.
 
-    compress = "plus" tests the word as written on [0, inf); "minus" tests
-    the compression to (-inf, -1], which after the reflection n -> -1 - n is
-    the plus-compression of the reversed word. integer_certificates (integer
-    word, integral z) adds monodromy_dirichlet_test.
+    compress = "plus" tests the word w as written on [0, inf); "minus" the
+    compression to (-inf, -1], which after n -> -1 - n is the plus case of
+    the reversed word. All rotations share one trace, so off a gap all fail
+    alike. In a gap rotation r (value(n) = w[n - r]) has z as an eigenvalue
+    iff the solution of w decaying at +inf vanishes at site -r - 1 mod q,
+    read off one walk of its direction. integer_certificates (integer word,
+    integral z) adds a monodromy_dirichlet_test per rotation in a gap.
     """
     w = tuple(reversed(word)) if compress == "minus" else tuple(word)
     q = len(w)
-    items = []
-    bad = []
-    for r in range(q):
-        rot = periodic(w, phase=r)
-        res = _halfline_invertible_from_junction(rot, z, 0, q)
-        cert = None
-        if integer_certificates and res.status in ("invertible", "eigenvalue"):
-            cert = monodromy_dirichlet_test(rot, int(z))
-        items.append((r, res, cert))
-        if not res.invertible:
-            bad.append((r, res.status))
+    m = monodromy(periodic(w), z)
+    items = ()
+    if abs(m.trace()) <= 2:
+        bad = [(r, "in_band" if abs(m.trace()) < 2 else "band_edge")
+               for r in range(q)]
+    else:
+        (x, y), d = _floquet_direction(m, contracting=True)
+        bad = []
+        for k, v in enumerate(w):  # (x, y) holds (x_{k-1}, x_k)
+            if _sign(x, d) == 0:
+                bad.append((-k % q, "eigenvalue"))
+            x, y = y, ((z - v) * y[0] - x[0], (z - v) * y[1] - x[1])
+        bad.sort()
+        if integer_certificates:
+            items = tuple((r, monodromy_dirichlet_test(periodic(w, r), int(z)))
+                          for r in range(q))
     holds = not bad
     summary = ("all %d rotations invertible" % q) if holds else \
         ("rotation failures: %s" % ", ".join("r=%d %s" % b for b in bad))
-    return ConditionResult(holds=holds, summary=summary, items=tuple(items))
+    return ConditionResult(holds=holds, summary=summary, items=items)
 
 
 def _sign(x, d):
@@ -286,6 +282,25 @@ def _floquet_direction(m, contracting):
     return v, d
 
 
+def _decays(start, d_u, core, right):
+    """Whether `start`, a vector over Q(sqrt d_u) carried across the
+    transfer `core`, spans the contracting direction (x, y) of the gap
+    transfer `right`, a vector over Q(sqrt d_r). Split by the rational and
+    the sqrt(d_u) part of start, det [core start, (x, y)] is
+    P + Q sqrt(d_u) with P, Q in Q(sqrt d_r): 0 iff P^2 - d_u Q^2 = 0 and
+    sign P = -sign Q.
+    """
+    (x, y), d_r = _floquet_direction(right, contracting=True)
+    u, w = start
+    (p0, p1), (q0, q1) = (
+        (top * y[0] - bottom * x[0], top * y[1] - bottom * x[1])
+        for top, bottom in (core.apply((u[k], w[k])) for k in range(2)))
+    norm = (p0 * p0 + p1 * p1 * d_r - d_u * (q0 * q0 + q1 * q1 * d_r),
+            2 * (p0 * p1 - d_u * q0 * q1))
+    return _sign(norm, d_r) == 0 and \
+        _sign((p0, p1), d_r) == -_sign((q0, q1), d_r)
+
+
 def _full_line_invertible_condition(p, z):
     fred = is_fredholm(p, z, "full_line")
     if not fred.fredholm:
@@ -295,42 +310,17 @@ def _full_line_invertible_condition(p, z):
                     % (fred.witness_side, fred.side_position[fred.witness_side]),
             items=(fred,))
     # in a gap of both sides, H - z is invertible iff no solution decays at
-    # both ends: the left decaying direction, carried across the core,
-    # must not be the right one
+    # both ends
     lw, rw, lj, rj = _side_words(p)
-    (x, y), d_r = _floquet_direction(
-        transfer_product(p, z, rj, rj + len(rw) - 1), contracting=True)
-    (u, w), d_l = _floquet_direction(
-        transfer_product(p, z, lj - len(lw), lj - 1), contracting=False)
-    core = transfer_product(p, z, lj, rj - 1)
-    # the left direction carried to rj, split into its rational part (k = 0)
-    # and its sqrt(d_l) part (k = 1): det [core (u, w), (x, y)] is
-    # P + Q sqrt(d_l), with P, Q in Q(sqrt d_r)
-    (p0, p1), (q0, q1) = (
-        (top * y[0] - bottom * x[0], top * y[1] - bottom * x[1])
-        for top, bottom in (core.apply((u[k], w[k])) for k in range(2)))
-    # W = 0 iff P^2 - d_l Q^2 = 0 and sign P = -sign Q
-    norm = (p0 * p0 + p1 * p1 * d_r - d_l * (q0 * q0 + q1 * q1 * d_r),
-            2 * (p0 * p1 - d_l * q0 * q1))
-    if _sign(norm, d_r) == 0 and \
-            _sign((p0, p1), d_r) == -_sign((q0, q1), d_r):
-        return ConditionResult(
-            holds=False,
-            summary="kernel: the solutions decaying at both ends match, exact",
-            items=(fred,))
+    left = transfer_product(p, z, lj - len(lw), lj - 1)
+    kernel = _decays(*_floquet_direction(left, contracting=False),
+                     transfer_product(p, z, lj, rj - 1),
+                     transfer_product(p, z, rj, rj + len(rw) - 1))
     return ConditionResult(
-        holds=True,
-        summary="Fredholm and no kernel: the decaying solutions are "
-                "independent, exact",
-        items=(fred,))
-
-
-def _half_line_invertible_condition(p, z):
-    res = halfline_invertible(p, z)
-    summary = ("half-line operator invertible, exact" if res.invertible
-               else "half-line operator not invertible: %s" % res.status)
-    return ConditionResult(holds=res.invertible, summary=summary,
-                           items=(res,))
+        holds=not kernel, items=(fred,),
+        summary="kernel: the solutions decaying at both ends match, exact"
+        if kernel else "Fredholm and no kernel: the decaying solutions are "
+                       "independent, exact")
 
 
 def fsm_applicability(p, z=0, operator="full_line"):
@@ -354,7 +344,11 @@ def fsm_applicability(p, z=0, operator="full_line"):
         conds["b"] = _rotation_condition(rw, zf, "plus", integer_certs)
         conds["c"] = _rotation_condition(lw, zf, "minus", integer_certs)
     else:
-        conds["d"] = _half_line_invertible_condition(p, zf)
+        res = halfline_invertible(p, zf)
+        conds["d"] = ConditionResult(
+            holds=res.invertible, items=(res,),
+            summary="half-line operator invertible, exact" if res.invertible
+            else "half-line operator not invertible: %s" % res.status)
         conds["e"] = _rotation_condition(rw, zf, "minus", integer_certs)
     return ApplicabilityReport(operator=operator, z=z, conditions=conds,
                                applicable=all(c.holds for c in conds.values()))

@@ -12,9 +12,11 @@ of disc^2 - 4 between edges in place of root multiplicity, unit-root grid
 moduli summed numerically at 60 digits in place of the exact value-ring
 route,
 the general (d, e) inertia recursion over numpy scalars in place of the
-package's unit off-diagonal loop over Python floats, and a float shooting
+package's unit off-diagonal loop over Python floats, a float shooting
 match of the decaying solutions in place of the exact two-sided kernel
-test over Q(sqrt D_L, sqrt D_R).
+test over Q(sqrt D_L, sqrt D_R), and the Wronskian of the rational
+Dirichlet orbit, one rebuilt potential per rotation, in place of the
+package's walk of the Floquet direction over Q(sqrt D).
 """
 
 from fractions import Fraction
@@ -405,3 +407,52 @@ def full_line_kernel_scan(p, z):
     det = abs(u_minus[0] * u_plus[1] - u_minus[1] * u_plus[0])
     return {"matching_det": det, "right_multiplier": lam_r,
             "left_multiplier": lam_l}
+
+
+def _fraction_transfer(p, z, l, r):
+    """Entries (a, b, c, d) of T_z(r) ... T_z(l) over Q."""
+    z = Fraction(z)
+    a, b, c, d = 1, 0, 0, 1
+    for n in range(l, r + 1):
+        t = z - Fraction(p.value(n))
+        a, b, c, d = c, d, t * c - a, t * d - b
+    return a, b, c, d
+
+
+def halfline_wronskian_status(p, z, junction, period):
+    """(status, multiplier) of the Dirichlet compression to [0, inf) of a
+    potential that is periodic (period `period`) from site junction >= 0 on.
+
+    The Dirichlet orbit x_{-1} = 0, x_0 = 1 is carried exactly to the
+    junction; z is an eigenvalue iff the one-period transfer there maps it
+    to lambda times itself (zero Wronskian) with |lambda| < 1. status is
+    in_band, band_edge, invertible or eigenvalue; multiplier is lambda for
+    an eigenvalue and None otherwise.
+    """
+    a, b, c, d = _fraction_transfer(p, z, junction, junction + period - 1)
+    if abs(a + d) < 2:
+        return "in_band", None
+    if abs(a + d) == 2:
+        return "band_edge", None
+    u = _fraction_transfer(p, z, 0, junction - 1)[1::2]  # image of (0, 1)
+    w = (a * u[0] + b * u[1], c * u[0] + d * u[1])
+    if w[0] * u[1] - w[1] * u[0] != 0:
+        return "invertible", None
+    lam = w[0] / u[0] if u[0] else w[1] / u[1]
+    return ("eigenvalue", lam) if abs(lam) < 1 else ("invertible", None)
+
+
+def rotation_failures(word, z, compress):
+    """[(r, status)] for the rotations of `word` whose one-sided compression
+    is not invertible at z: compress "plus" cuts to [0, inf), "minus" to
+    (-inf, -1], the plus cut of the reversed word. Each rotation is rebuilt
+    as its own periodic potential and tested by halfline_wronskian_status.
+    """
+    w = tuple(reversed(word)) if compress == "minus" else tuple(word)
+    out = []
+    for r in range(len(w)):
+        status, _ = halfline_wronskian_status(
+            PeriodicPotential(w, r), z, 0, len(w))
+        if status != "invertible":
+            out.append((r, status))
+    return out

@@ -269,6 +269,12 @@ MALFORMED = [
     # the sections and returns no eigenvalue
     pytest.param("fsm", dict(_fsm_doc(), **_word([1e308, -1e308])),
                  id="fsm-word-beyond-bisection-range"),
+    # v and z are in float range, but the diagonal v - z = 2e308 is not
+    pytest.param("fsm", dict(_fsm_doc(z=-1e308, scheme={
+        "side": "full_line", "cutoffs": {
+            side: {"kind": "arithmetic", "start": 8, "step": 8}
+            for side in ("left", "right")}}), **_word([1e308, 1e308])),
+        id="fsm-diagonal-beyond-float-range"),
     pytest.param("bands", _word(["1/0", 1]), id="bands-zero-denominator"),
     pytest.param("fsm", dict(_fsm_doc(), **_word(["1/0", 1])),
                  id="fsm-zero-denominator"),

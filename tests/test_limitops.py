@@ -9,7 +9,8 @@ import schrod1d.potential as pot
 import schrod1d.transfer as tr
 from schrod1d.prng import CounterRng
 from schrod1d.scalars import RegimeError
-from oracles import full_line_kernel_scan
+from oracles import (full_line_kernel_scan, halfline_wronskian_status,
+                     rotation_failures)
 
 
 def distance_to(ess, z):
@@ -95,17 +96,15 @@ def test_halfline_invertibility_statuses():
     res = lo.halfline_invertible(pot.periodic([F(1, 2), 2, F(1, 2)]), 0)
     assert res.status == "eigenvalue"
     assert not res.invertible
-    assert res.detail["wronskian"] == 0
     assert res.detail["multiplier"] == F(1, 2)
 
 
 def test_integer_word_at_integer_z_stays_in_int_arithmetic():
-    # the trace runs on ints; only the Dirichlet data are Fractions, so the
-    # multiplier division stays exact
+    # the trace runs on ints, and an invertible result carries no multiplier
     res = lo.halfline_invertible(pot.periodic([3, -1]), 0)
     assert res.status == "invertible"
     assert type(res.detail["disc"]) is int and res.detail["disc"] == -5
-    assert type(res.detail["wronskian"]) is F
+    assert "multiplier" not in res.detail
 
 
 def test_applicability_constant_gap_point():
@@ -261,6 +260,118 @@ def test_flip_duality():
         assert a.conditions["b"].holds == b.conditions["c"].holds
 
 
+def _rational(rng):
+    return F(rng.randint(-16, 16), rng.randint(1, 4))
+
+
+def _singular_word(rng, q, z):
+    """A rational word of length q >= 2 whose section [0, q - 2] is singular
+    at z: the Dirichlet orbit has x_{q-1} = 0, so m12(z) = 0."""
+    while True:
+        w = [_rational(rng) for _ in range(q)]
+        x0, x1 = 0, 1  # (x_{k-1}, x_k), up to (x_{q-3}, x_{q-2})
+        for v in w[:q - 2]:
+            x0, x1 = x1, (z - v) * x1 - x0
+        if x1:
+            w[q - 2] = z - F(x0) / x1
+            return w
+
+
+def _core_reaching(rng, z, target, length):
+    """A rational core on sites 0 .. length - 1 (length >= 2) that carries
+    the Dirichlet vector (x_{-1}, x_0) = (0, 1) to a multiple of target,
+    read as (x_{length-1}, x_length): built backwards from the target."""
+    while True:
+        core = [_rational(rng) for _ in range(length)]
+        a, b = target  # (x_{n-1}, x_n), from n = length down to n = 1
+        for v in reversed(core[1:]):
+            a, b = (z - v) * a - b, a
+        if a:
+            core[0] = z - F(b) / a  # so that x_{-1} = 0
+            return core
+
+
+def _rotation_summary(failures, q):
+    if not failures:
+        return "all %d rotations invertible" % q
+    return "rotation failures: %s" % ", ".join("r=%d %s" % f for f in failures)
+
+
+def test_rotation_conditions_match_wronskian_oracle():
+    # conditions (b), (c), (e) and halfline_invertible against one rebuilt
+    # potential per rotation; integer words at integral z never have an
+    # eigenvalue, so a third of the words are made singular at z, and half
+    # of those reversed, which moves the eigenvalue to the other orientation
+    rng = CounterRng(30, 0)
+    eigen = {"plus": 0, "minus": 0}
+    for i in range(450):
+        q = rng.randint(1, 8)
+        if i % 3 == 0:
+            word = [rng.randint(-4, 4) for _ in range(q)]
+            z = rng.randint(-7, 7)
+        else:
+            z = F(rng.randint(-24, 24), rng.randint(1, 3))
+            word = ([_rational(rng) for _ in range(q)] if i % 3 == 1
+                    else _singular_word(rng, max(q, 2), z)[::(-1) ** i])
+        q = len(word)
+        p = pot.periodic(word)
+        full = lo.fsm_applicability(p, z)
+        half = lo.fsm_applicability(p, z, "half_line")
+        for cond, compress in ((full.conditions["b"], "plus"),
+                               (full.conditions["c"], "minus"),
+                               (half.conditions["e"], "minus")):
+            bad = rotation_failures(word, z, compress)
+            assert cond.summary == _rotation_summary(bad, q)
+            assert cond.holds is (not bad)
+            eigen[compress] += any(s == "eigenvalue" for _, s in bad)
+        res = lo.halfline_invertible(p, z)
+        assert (res.status, res.detail.get("multiplier")) == \
+            halfline_wronskian_status(p, z, 0, q)
+    assert min(eigen.values()) > 20, eigen
+
+
+def test_halfline_condition_matches_wronskian_oracle():
+    # condition (d) on eventually periodic potentials; a right word with
+    # m12(z) = 0 has a rational contracting direction, and every fourth core
+    # carries the Dirichlet orbit onto it, so z is an eigenvalue there unless
+    # it is a band edge
+    rng = CounterRng(31, 0)
+    eigen = 0
+    for i in range(400):
+        z = F(rng.randint(-24, 24), rng.randint(1, 3))
+        q = rng.randint(1, 6)
+        right = (_singular_word(rng, max(q, 2), z) if i % 2
+                 else [_rational(rng) for _ in range(q)])
+        left = [_rational(rng) for _ in range(rng.randint(1, 4))]
+        if i % 4 == 3:
+            m = tr.monodromy(pot.periodic(right), z)
+            target = (0, 1) if abs(m.d) < 1 else (m.a - m.d, m.c)
+            start, core = 0, _core_reaching(rng, z, target, rng.randint(2, 5))
+        else:
+            start = rng.randint(-6, 6)
+            core = [_rational(rng) for _ in range(rng.randint(0, 5))]
+        p = pot.eventually_periodic(left, core, start, right)
+        status, lam = halfline_wronskian_status(
+            p, z, max(p.right_start, 0), len(right))
+        res = lo.halfline_invertible(p, z)
+        assert (res.status, res.detail.get("multiplier")) == (status, lam)
+        cond = lo.fsm_applicability(p, z, "half_line").conditions["d"]
+        assert cond.holds is (status == "invertible")
+        eigen += status == "eigenvalue"
+    assert eigen > 20, eigen
+
+
+def test_rotation_items_are_integer_certificates():
+    # an integer word at integral z in a gap carries one certificate per
+    # rotation; at a band edge or a rational z it carries none
+    p = pot.periodic([3, -1, 2])
+    cond = lo.fsm_applicability(p, 0).conditions["b"]
+    assert [r for r, _ in cond.items] == [0, 1, 2]
+    assert all(c.status == "gap_no_dirichlet" for _, c in cond.items)
+    for z in (2, F(1, 2)):
+        assert lo.fsm_applicability(p, z).conditions["b"].items == ()
+
+
 def test_exact_sweep_periodic_words():
     # conditions on periodic words at integer points are always decided
     rng = CounterRng(11, 0)
@@ -271,8 +382,8 @@ def test_exact_sweep_periodic_words():
         z = rng.randint(-8, 8)
         rep = lo.fsm_applicability(pot.periodic(word), z)
         for c in rep.conditions.values():
-            assert c.holds is not None
-        assert rep.applicable is not None
+            assert type(c.holds) is bool
+        assert type(rep.applicable) is bool
         if rep.applicable is False:
             seen_false += 1
     assert seen_false > 0  # the sweep hits both outcomes
