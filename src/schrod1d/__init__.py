@@ -15,8 +15,7 @@ from .limitops import (ApplicabilityReport, EssentialSpectrum, FredholmResult,
 from .potential import (EventuallyPeriodicPotential, PeriodicPotential,
                         RandomPotential, SturmianPotential,
                         eventually_periodic, explicit, fibonacci_value,
-                        periodic, potential_from_json, random_values, reflect,
-                        shift, sturmian)
+                        periodic, potential_from_json, random_values, sturmian)
 from .prng import CounterRng, counter_value
 from .rings import RingSpec, RingValidation, validate_ring
 from .scalars import FLOAT, INTEGER, RATIONAL, RegimeError, regime_of
@@ -47,8 +46,8 @@ __all__ = [
     "halfline_invertible", "is_fredholm",
     "limit_operators", "monodromy",
     "monodromy_dirichlet_test", "periodic",
-    "potential_from_json", "random_values", "reference_solution", "reflect",
-    "regime_of", "run_fsm", "run_reproduction", "shift",
+    "potential_from_json", "random_values", "reference_solution",
+    "regime_of", "run_fsm", "run_reproduction",
     "smallest_singular_value", "solve_section", "stability_scan", "sturmian",
     "symbolic_monodromy", "transfer_product", "truncation_spectrum",
     "validate_ring",

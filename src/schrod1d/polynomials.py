@@ -208,14 +208,6 @@ def real_root_count_with_multiplicity(c):
     return total
 
 
-def sign(x):
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def sturm_chain(c, d=None):
     """Signed remainder sequence of (c, d), each element scaled to a
     primitive integer polynomial; d = c' (the default) gives the Sturm

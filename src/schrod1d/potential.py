@@ -12,18 +12,14 @@ strongest regime among its values. Four families are supported:
 A finite window with a constant value outside (explicit) is the eventually
 periodic potential whose side words are both that one value.
 
-All families support exact pointwise evaluation, shifting, reflection about
-the origin and JSON round-trips. Reflection and shifting satisfy
-reflect(p).value(n) == p.value(-n) and shift(p, k).value(n) == p.value(n + k)
-exactly, and reflect is an involution on the nose (same description, not just
-pointwise equality).
+All families support exact pointwise evaluation and JSON round-trips.
 
 array(lo, hi) equals np.array([float(p.value(n)) for n in range(lo, hi + 1)])
 bit for bit and raises where that does; periodic, Sturmian and random
 potentials build it with numpy when their indices fit in 64 bits.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -89,12 +85,6 @@ class Potential:
         """float(value(n)) for n in [lo, hi] as one float array."""
         return np.array([float(self.value(n)) for n in range(lo, hi + 1)])
 
-    def shift(self, k):
-        raise NotImplementedError
-
-    def reflect(self):
-        raise NotImplementedError
-
     def to_json(self):
         raise NotImplementedError
 
@@ -125,13 +115,6 @@ class PeriodicPotential(Potential):
         n, q = hi - lo + 1, len(self.word)
         table = super().array(lo, lo + min(q, n) - 1)  # the sites it reads
         return table[np.arange(n) % q]
-
-    def shift(self, k):
-        return replace(self, phase=(self.phase - k) % len(self.word))
-
-    def reflect(self):
-        return replace(self, word=self.word[::-1],
-                       phase=(1 - self.phase) % len(self.word))
 
     def to_json(self):
         return {"kind": "periodic", "phase": self.phase,
@@ -170,16 +153,6 @@ class EventuallyPeriodicPotential(Potential):
             return self.left_word[(n - self.core_start) % len(self.left_word)]
         return self.core[n - self.core_start]
 
-    def shift(self, k):
-        return replace(self, core_start=self.core_start - k)
-
-    def reflect(self):
-        return replace(self,
-                       left_word=self.right_word[::-1],
-                       core=self.core[::-1],
-                       core_start=-(self.core_start + len(self.core) - 1),
-                       right_word=self.left_word[::-1])
-
     def to_json(self):
         return {"kind": "eventually_periodic", "core_start": self.core_start,
                 "left_word": [encode_scalar(v) for v in self.left_word],
@@ -189,55 +162,37 @@ class EventuallyPeriodicPotential(Potential):
 
 @dataclass(frozen=True)
 class SturmianPotential(Potential):
-    """Golden-ratio Sturmian 0/1 potential, exact integer evaluation.
-
-    value(n) = fibonacci_value(orientation * n + offset). orientation = -1
-    encodes reflected copies so that reflect stays in the family.
-    """
+    """Golden-ratio Sturmian 0/1 potential, exact integer evaluation:
+    value(n) = fibonacci_value(n + offset)."""
 
     offset: int = 0
-    orientation: int = 1
     regime: str = field(default=INTEGER, init=False)
     kind: str = field(default="sturmian", init=False)
 
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +-1")
-
     def value(self, n):
-        return fibonacci_value(self.orientation * n + self.offset)
+        return fibonacci_value(n + self.offset)
 
     def array(self, lo, hi):
-        ends = [self.orientation * n + self.offset for n in (lo, hi)]
-        if hi < lo or max(map(abs, ends)) > 10 ** 9:
+        a, b = lo + self.offset, hi + self.offset
+        if b < a or max(abs(a), abs(b)) > 10 ** 9:
             return super().array(lo, hi)
-        f = _fibonacci_array(min(ends), max(ends))
-        return f if self.orientation == 1 else f[::-1]
-
-    def shift(self, k):
-        return replace(self, offset=self.offset + self.orientation * k)
-
-    def reflect(self):
-        return replace(self, orientation=-self.orientation)
+        return _fibonacci_array(a, b)
 
     def to_json(self):
         return {"kind": "sturmian", "slope": "golden-ratio",
-                "offset": self.offset, "orientation": self.orientation}
+                "offset": self.offset}
 
 
 @dataclass(frozen=True)
 class RandomPotential(Potential):
     """Deterministic pseudo random choices from a finite value set.
 
-    value(n) picks from values by a splitmix64 counter keyed on
-    (seed, orientation * n + index_offset); random access, no state, so
-    shift and reflect are exact reindexings.
+    value(n) picks from values by a splitmix64 counter keyed on (seed, n);
+    random access, no state.
     """
 
     seed: int
     values: tuple
-    index_offset: int = 0
-    orientation: int = 1
     regime: str = field(default=INTEGER, init=False)
     kind: str = field(default="random", init=False)
 
@@ -246,38 +201,26 @@ class RandomPotential(Potential):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not self.values:
             raise ValueError("value set must be nonempty")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +-1")
         _keep_values(self, ("values",))
 
     def value(self, n):
-        i = self.orientation * n + self.index_offset
-        return self.values[counter_value(self.seed, i) % len(self.values)]
+        return self.values[counter_value(self.seed, n) % len(self.values)]
 
     def array(self, lo, hi):
-        i0, i1 = (self.orientation * n + self.index_offset for n in (lo, hi))
-        if max(abs(i0), abs(i1)) >= 2 ** 62:
+        if max(abs(lo), abs(hi)) >= 2 ** 62:
             return super().array(lo, hi)
         try:
             table = np.array([float(v) for v in self.values])
         except (OverflowError, TypeError):  # maybe at a value never drawn
             return super().array(lo, hi)
-        i = i0 + self.orientation * np.arange(hi - lo + 1, dtype=np.int64)
+        i = lo + np.arange(hi - lo + 1, dtype=np.int64)
         u = np.where(i >= 0, i << 1, (-i << 1) - 1).astype(np.uint64)
         word = splitmix64(np.uint64(self.seed) ^ splitmix64(u))
         return table[(word % np.uint64(len(self.values))).astype(np.intp)]
 
-    def shift(self, k):
-        return replace(self, index_offset=self.index_offset + self.orientation * k)
-
-    def reflect(self):
-        return replace(self, orientation=-self.orientation)
-
     def to_json(self):
         return {"kind": "random", "seed": self.seed,
-                "values": [encode_scalar(v) for v in self.values],
-                "index_offset": self.index_offset,
-                "orientation": self.orientation}
+                "values": [encode_scalar(v) for v in self.values]}
 
 
 def periodic(word, phase=0):
@@ -288,8 +231,8 @@ def eventually_periodic(left_word, core, core_start, right_word):
     return EventuallyPeriodicPotential(left_word, core, core_start, right_word)
 
 
-def sturmian(offset=0, orientation=1):
-    return SturmianPotential(offset, orientation)
+def sturmian(offset=0):
+    return SturmianPotential(offset)
 
 
 def explicit(values, start=0, outside=0):
@@ -298,14 +241,6 @@ def explicit(values, start=0, outside=0):
 
 def random_values(seed, values):
     return RandomPotential(seed, values)
-
-
-def reflect(p):
-    return p.reflect()
-
-
-def shift(p, k):
-    return p.shift(k)
 
 
 def potential_from_json(doc):
@@ -343,13 +278,12 @@ def potential_from_json(doc):
     elif kind == "sturmian":
         if get("slope", "golden-ratio") != "golden-ratio":
             raise ValueError("unsupported sturmian slope %r" % doc.get("slope"))
-        p = SturmianPotential(index("offset", 0), index("orientation", 1))
+        p = sturmian(index("offset", 0))
     elif kind == "explicit":
         p = explicit(dec("window"), index("start"),
                      decode_scalar_any(get("outside", 0)))
     elif kind == "random":
-        p = RandomPotential(index("seed"), dec("values"),
-                            index("index_offset", 0), index("orientation", 1))
+        p = random_values(index("seed"), dec("values"))
     else:
         raise ValueError("unknown potential kind %r" % (kind,))
     unknown = set(doc) - read

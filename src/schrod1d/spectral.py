@@ -112,9 +112,9 @@ class BandSet:
                             return {"kind": "band", "index": b}
             raise SpectralStructureError(
                 "|disc| = 2 point not matched to any edge root")
-        if zf < self.edges[self.band_edge_pairs[0][0]].hi:
+        if zf < self.edges[self.band_edge_pairs[0][0]].lo:
             return {"kind": "below", "index": None}
-        if zf > self.edges[self.band_edge_pairs[-1][1]].lo:
+        if zf > self.edges[self.band_edge_pairs[-1][1]].hi:
             return {"kind": "above", "index": None}
         for g, ((_, j), (k, _)) in enumerate(
                 zip(self.band_edge_pairs, self.band_edge_pairs[1:])):

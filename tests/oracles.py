@@ -26,7 +26,7 @@ from math import cos, hypot, lcm, pi, sqrt
 import mpmath
 
 import schrod1d.polynomials as pl
-from schrod1d.potential import PeriodicPotential
+from schrod1d.potential import EventuallyPeriodicPotential, PeriodicPotential
 
 
 def bareiss_determinant(rows):
@@ -70,6 +70,14 @@ def bareiss_determinant(rows):
 def window(potential, lo, hi):
     """Values of a potential on the inclusive index range [lo, hi]."""
     return [potential.value(n) for n in range(lo, hi + 1)]
+
+
+def reflection(p):
+    """The eventually periodic potential n -> p.value(-n): the side words
+    trade places, each read backwards, and the core reverses about 0."""
+    return EventuallyPeriodicPotential(
+        p.right_word[::-1], p.core[::-1], -(p.core_start + len(p.core) - 1),
+        p.left_word[::-1])
 
 
 def dense_section(potential, z, l, r):
@@ -166,6 +174,11 @@ def fullline_constant4_x0():
     return 1 / sqrt(12)
 
 
+def sign(x):
+    """-1, 0 or 1 as the exact number x is negative, zero or positive."""
+    return (x > 0) - (x < 0)
+
+
 def pdivmod(a, b):
     """Euclidean division, exact over Q."""
     if not b:
@@ -201,7 +214,7 @@ def fraction_sturm_chain(c, d=None):
 
 def fraction_variations_at(chain, x):
     """Sign variations of the chain's exact values at x, zeros skipped."""
-    signs = [pl.sign(pl.peval(p, x)) for p in chain]
+    signs = [sign(pl.peval(p, x)) for p in chain]
     nonzero = [s for s in signs if s]
     return sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t)
 
@@ -228,10 +241,10 @@ def fraction_refine_root(c, lo, hi, width):
     if lo == hi:
         return lo, hi
     f = fraction_square_free(c)
-    slo = pl.sign(pl.peval(f, lo))
+    slo = sign(pl.peval(f, lo))
     while hi - lo > width:
         mid = (lo + hi) / 2
-        sm = pl.sign(pl.peval(f, mid))
+        sm = sign(pl.peval(f, mid))
         if sm == 0:
             return mid, mid
         if sm == slo:
@@ -254,7 +267,7 @@ def sign_sampled_band_pairs(disc, edges):
     points = ([edges[0][0] - 1]
               + [(a[1] + b[0]) / 2 for a, b in zip(edges, edges[1:])]
               + [edges[-1][1] + 1])
-    signs = [pl.sign(pl.peval(f, x)) for x in points]
+    signs = [sign(pl.peval(f, x)) for x in points]
     assert 0 not in signs and signs[0] == signs[-1] == 1
     pairs = []
     for i, (before, after) in enumerate(zip(signs, signs[1:])):

@@ -337,6 +337,13 @@ MALFORMED = [
     pytest.param("fsm", dict(_fsm_doc(), potential={
         "kind": "random", "seed": 1, "values": "35"}),
         id="random-values-string"),
+    # a Sturmian potential has no orientation, a random one no index offset
+    pytest.param("fsm", dict(_fsm_doc(), potential={
+        "kind": "sturmian", "offset": 3, "orientation": -1}),
+        id="sturmian-orientation-key"),
+    pytest.param("fsm", dict(_fsm_doc(), potential={
+        "kind": "random", "seed": 1, "values": [3, 4], "index_offset": 5}),
+        id="random-index-offset-key"),
 ]
 
 
@@ -422,11 +429,8 @@ _FSM_POTENTIALS = st.one_of(
               _WORDS, _WORDS, _WORDS, _INDEX),
     st.builds(lambda w, k: {"kind": "explicit", "window": w, "start": k,
                             "outside": 4}, _WORDS, _INDEX),
-    st.builds(lambda seed, w, k, o: {"kind": "random", "seed": seed,
-                                     "values": w, "index_offset": k,
-                                     "orientation": o},
-              st.integers(0, 2 ** 32), _WORDS, _INDEX,
-              st.sampled_from([1, -1])))
+    st.builds(lambda seed, w: {"kind": "random", "seed": seed, "values": w},
+              st.integers(0, 2 ** 32), _WORDS))
 _CUTOFFS = st.one_of(
     st.builds(lambda a, b: {"kind": "arithmetic", "start": a, "step": b},
               st.integers(1, 16), st.integers(1, 16)),
@@ -467,8 +471,7 @@ _BANDS_CONFIGS = st.builds(
 # keys that may be left out of the top level, a cutoff or rhs document,
 # and a potential document
 _OPTIONAL_KEYS = {"z", "rhs", "count", "start", "step", "ratio", "site"}
-_OPTIONAL_POTENTIAL_KEYS = {"phase", "core", "outside", "index_offset",
-                            "orientation"}
+_OPTIONAL_POTENTIAL_KEYS = {"phase", "core", "outside"}
 # never a key of the object it is added to: keys of other objects, or none
 _FOREIGN_KEYS = ["out", "expect", "exploratory", "phse", "z", "count",
                  "left", "step", "values", "regime"]

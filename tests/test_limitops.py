@@ -10,7 +10,7 @@ import schrod1d.transfer as tr
 from schrod1d.prng import CounterRng
 from schrod1d.scalars import RegimeError
 from oracles import (full_line_kernel_scan, halfline_wronskian_status,
-                     rotation_failures)
+                     reflection, rotation_failures, window)
 
 
 def distance_to(ess, z):
@@ -22,10 +22,10 @@ def failed_keys(rep):
     return tuple(k for k, c in rep.conditions.items() if c.holds is False)
 
 
-def kernel_example():
+def kernel_example(core_start=0):
     return pot.eventually_periodic(
         left_word=(1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1),
-        core=(), core_start=0,
+        core=(), core_start=core_start,
         right_word=(1, 0, 1, 0, 1))
 
 
@@ -160,9 +160,10 @@ def test_kernel_scan_needs_a_gap(p):
 def _kernel_cases():
     ex = kernel_example()
     cases = [pytest.param(ex, 0, False, id="example-4-2"),
-             pytest.param(pot.reflect(ex), 0, False,
-                          id="example-4-2-reflected")]
-    cases += [pytest.param(pot.shift(ex, k), 0, False,
+             pytest.param(pot.eventually_periodic(
+                 ex.right_word[::-1], (), 1, ex.left_word[::-1]), 0, False,
+                 id="example-4-2-reflected")]
+    cases += [pytest.param(kernel_example(-k), 0, False,
                            id="example-4-2-shift%d" % k)
               for k in (-40, -7, -1, 1, 5, 12, 40)]
     # one site 3/2 in the free word: x(n) = 2^-|n - s| at z = 5/2, where
@@ -255,9 +256,40 @@ def test_flip_duality():
         p = pot.periodic(word)
         z = rng.randint(-7, 7)
         a = lo.fsm_applicability(p, z)
-        b = lo.fsm_applicability(pot.reflect(p), z)
+        b = lo.fsm_applicability(pot.periodic(word[::-1], phase=1), z)
         assert a.conditions["c"].holds == b.conditions["b"].holds
         assert a.conditions["b"].holds == b.conditions["c"].holds
+
+
+def test_flip_duality_eventually_periodic():
+    # n -> -n is a unitary equivalence: it swaps the right and left
+    # compressions, (b) and (c), and keeps the full-line kernel, (a); a
+    # third of the right words and a third of the left words are singular
+    # at z, which puts an eigenvalue in one of their compressions, and
+    # example-4-2 and its shifts meet (a) as False on a kernel
+    rng = CounterRng(32, 0)
+    cases = [(kernel_example(s), 0) for s in (-7, 0, 5)]
+    for i in range(300):
+        z = F(rng.randint(-24, 24), rng.randint(1, 3))
+        left, core, right = ([_rational(rng) for _ in range(rng.randint(1, 4))]
+                             for _ in range(3))
+        if i % 3 == 0:
+            right = _singular_word(rng, len(right) + 1, z)[::(-1) ** i]
+        elif i % 3 == 1:
+            left = _singular_word(rng, len(left) + 1, z)[::(-1) ** i]
+        cases.append((pot.eventually_periodic(left, core, rng.randint(-6, 6),
+                                              right), z))
+    seen = {"kernel": 0, "b": 0, "c": 0}
+    for p, z in cases:
+        a = lo.fsm_applicability(p, z).conditions
+        b = lo.fsm_applicability(reflection(p), z).conditions
+        assert window(reflection(p), -12, 12) == window(p, -12, 12)[::-1]
+        assert [b[k].holds for k in "abc"] == [a[k].holds for k in "acb"]
+        if a["a"].items[0].fredholm:
+            seen["kernel"] += not a["a"].holds
+            seen["b"] += not a["b"].holds
+            seen["c"] += not a["c"].holds
+    assert min(seen.values()) >= 3, seen
 
 
 def _rational(rng):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 import schrod1d.polynomials as pl
 from oracles import (fraction_gcd, fraction_refine_root, fraction_square_free,
                      fraction_sturm_chain, fraction_variations_at, pdivmod,
-                     yun_decomposition, yun_root_count)
+                     sign, yun_decomposition, yun_root_count)
 
 
 def frac(n, d=1):
@@ -122,7 +122,7 @@ def test_tarski_query_counts_signs(roots, g, a, b):
     for r in roots:
         p = pl.pmul(p, pl.poly([-r, 1]))
     chain = pl.sturm_chain(p, pl.pmul(pl.pderiv(p), g))
-    expected = sum(pl.sign(pl.peval(g, r)) for r in roots if a < r <= b)
+    expected = sum(sign(pl.peval(g, r)) for r in roots if a < r <= b)
     assert pl.variations_at(chain, a) - pl.variations_at(chain, b) == expected
     # sign_at_root: the query over an interval isolating one root r
     for r in roots:
@@ -130,7 +130,7 @@ def test_tarski_query_counts_signs(roots, g, a, b):
             continue
         h = min([abs(r - s) for s in roots if s != r] + [F(1)]) / 2
         assert pl.sign_at_root(pl.tarski_chain(p, g), r - h, r + h) == \
-            pl.sign(pl.peval(g, r))
+            sign(pl.peval(g, r))
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1,
@@ -232,9 +232,9 @@ def test_psign_matches_exact_value(cr, extra):
     c, roots = cr
     ic = pl.primitive(c)
     assert all(isinstance(x, int) for x in ic)
-    assert pl.sign(ic[-1]) == pl.sign(c[-1])
+    assert sign(ic[-1]) == sign(c[-1])
     for x in _points(c, roots, extra):
-        assert pl.psign(ic, x) == pl.sign(pl.peval(c, x))
+        assert pl.psign(ic, x) == sign(pl.peval(c, x))
 
 
 @given(rooted_polys(), st.one_of(st.none(), polys), st.booleans(),

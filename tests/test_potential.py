@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,28 +17,10 @@ def family_examples():
         pot.eventually_periodic([0], [7, -1, 7], -1, [4]),
         pot.eventually_periodic([1, 1, 0, 0, 0], [], 0, [1, 0, 1, 0, 1]),
         pot.sturmian(),
-        pot.sturmian(offset=4, orientation=-1),
+        pot.sturmian(offset=4),
         pot.explicit([5, -2, 0], start=-1, outside=1),
         pot.random_values(12345, [-1, 0, 2]),
     ]
-
-
-@pytest.mark.parametrize("p", family_examples())
-def test_shift_relabels_indices(p):
-    for k in (-7, -1, 0, 1, 3, 11):
-        q = pot.shift(p, k)
-        for n in range(-15, 16):
-            assert q.value(n) == p.value(n + k)
-
-
-@pytest.mark.parametrize("p", family_examples())
-def test_reflect_flips_about_zero(p):
-    q = pot.reflect(p)
-    for n in range(-15, 16):
-        assert q.value(n) == p.value(-n)
-    r = pot.reflect(q)
-    for n in range(-15, 16):
-        assert r.value(n) == p.value(n)
 
 
 @pytest.mark.parametrize("p", family_examples())
@@ -171,27 +152,11 @@ def test_unknown_keys_rejected():
                                  "regime": "float", "wrod": 3})
     with pytest.raises(ValueError, match="unknown key 'phase'"):
         pot.potential_from_json({"kind": "sturmian", "phase": 1})
-
-
-@given(st.integers(min_value=-300, max_value=300),
-       st.integers(min_value=-20, max_value=20))
-@settings(max_examples=80, deadline=None)
-def test_shift_reflect_commutation(n, k):
-    p = pot.sturmian(offset=2)
-    # reflect(shift(p, k)) == shift(reflect(p), -k) pointwise
-    a = pot.reflect(pot.shift(p, k))
-    b = pot.shift(pot.reflect(p), -k)
-    assert a.value(n) == b.value(n)
-
-
-@given(st.integers(min_value=0, max_value=2 ** 64 - 1),
-       st.integers(min_value=-100, max_value=100),
-       st.integers(min_value=-20, max_value=20))
-@settings(max_examples=60, deadline=None)
-def test_random_shift_reflect_identities(seed, n, k):
-    p = pot.random_values(seed, [0, 1, 5])
-    assert pot.shift(p, k).value(n) == p.value(n + k)
-    assert pot.reflect(p).value(n) == p.value(-n)
+    with pytest.raises(ValueError, match="unknown key 'orientation'"):
+        pot.potential_from_json({"kind": "sturmian", "orientation": -1})
+    with pytest.raises(ValueError, match="unknown key 'index_offset'"):
+        pot.potential_from_json({"kind": "random", "seed": 1, "values": [0],
+                                 "index_offset": 0})
 
 
 def site_route(p, lo, hi):
@@ -215,23 +180,19 @@ def any_potential(draw):
                                    "eventually_periodic", "explicit"]))
     words = st.lists(st.one_of(entries, float_entries) if draw(st.booleans())
                      else entries, min_size=1, max_size=6)
+    starts = st.one_of(st.integers(-30, 30), near(10 ** 9, -10 ** 9))
     if family == "periodic":
-        p = pot.periodic(draw(words), phase=draw(st.integers(-10, 10)))
-    elif family == "sturmian":
-        p = pot.sturmian(draw(near(0, 10 ** 9, -10 ** 9, 10 ** 24)),
-                         draw(st.sampled_from([1, -1])))
-    elif family == "random":
-        p = replace(pot.random_values(draw(st.integers(0, 2 ** 64 - 1)),
-                                      draw(words)),
-                    index_offset=draw(near(0, 2 ** 62, -2 ** 62, 10 ** 26)),
-                    orientation=draw(st.sampled_from([1, -1])))
-    elif family == "eventually_periodic":
-        p = pot.eventually_periodic(draw(words), draw(words), 0, draw(words))
-    else:
-        p = pot.explicit(draw(words), start=-2, outside=draw(entries))
-    if draw(st.booleans()):
-        p = pot.reflect(p)
-    return pot.shift(p, draw(st.one_of(st.integers(-30, 30), near(0, 10 ** 9))))
+        return pot.periodic(draw(words), phase=draw(st.integers(-10, 10)))
+    if family == "sturmian":
+        return pot.sturmian(draw(near(0, 10 ** 9, -10 ** 9, 10 ** 24)))
+    if family == "random":
+        return pot.random_values(draw(st.integers(0, 2 ** 64 - 1)),
+                                 draw(words))
+    if family == "eventually_periodic":
+        return pot.eventually_periodic(draw(words), draw(words),
+                                       draw(starts), draw(words))
+    return pot.explicit(draw(words), start=draw(starts),
+                        outside=draw(entries))
 
 
 @given(any_potential(), st.data())
@@ -247,12 +208,13 @@ def test_array_matches_site_route(p, data):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("offset", [
     10 ** 9 - 20, -10 ** 9 + 20, 2 * 10 ** 9, -4 * 10 ** 9, 10 ** 24])
-def test_sturmian_array_across_limits(offset, orientation):
-    p = pot.sturmian(offset, orientation)
-    for lo in (-40, 0, 40 - 2 * offset):
+def test_sturmian_array_across_limits(offset):
+    # windows of counters n + offset starting or ending near offset, near
+    # -offset and near 3 offset
+    p = pot.sturmian(offset)
+    for lo in (-50, -40, -10, 0, 40 - 2 * offset, 2 * offset - 90):
         want = site_route(p, lo, lo + 50)
         assert p.array(lo, lo + 50).tobytes() == want.tobytes()
 
@@ -263,21 +225,21 @@ def test_sturmian_array_at_fibonacci_indices():
     fib = [1, 2]
     while fib[-1] <= 10 ** 9:
         fib.append(fib[-1] + fib[-2])
+    p = pot.sturmian()
     for f in fib[20:-1]:
-        for orientation in (1, -1):
-            p = pot.sturmian(orientation * (f - 25), orientation)
-            for q in (p, pot.reflect(p)):
-                want = site_route(q, -30, 30)
-                assert q.array(-30, 30).tobytes() == want.tobytes()
+        for lo in (f - 55, -f - 5):
+            want = site_route(p, lo, lo + 60)
+            assert p.array(lo, lo + 60).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
-@pytest.mark.parametrize("offset", [
+@pytest.mark.parametrize("centre", [
     2 ** 62 - 20, -2 ** 62 + 20, 2 ** 63 - 20, -2 ** 64, 10 ** 26])
-def test_random_array_across_limits(offset, orientation):
-    p = replace(pot.random_values(2 ** 64 - 1, [F(1, 3), -2, 7]),
-                index_offset=offset, orientation=orientation)
-    for lo in (-40, 0, 40 - 2 * offset):
+def test_random_array_across_limits(centre):
+    # windows of counters n starting or ending near centre, near -centre and
+    # near 3 centre
+    p = pot.random_values(2 ** 64 - 1, [F(1, 3), -2, 7])
+    for lo in (centre - 50, centre - 40, centre - 10, centre, 40 - centre,
+               3 * centre - 90):
         want = site_route(p, lo, lo + 50)
         assert p.array(lo, lo + 50).tobytes() == want.tobytes()
 

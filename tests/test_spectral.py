@@ -49,6 +49,21 @@ def test_constant_band_and_distance():
     assert bs.distance_to_spectrum(3) == 0.0
 
 
+@pytest.mark.parametrize("word", [[4], [0, 1], [F(1, 2), 2, F(1, 2)]])
+def test_points_in_outer_edge_intervals_touch_the_spectrum(word):
+    # inside the 2^-60 interval of the lowest or highest edge, a point off
+    # the root reads edge (or band), as it does at every interior edge, and
+    # its distance is 0, never negative
+    bs = band_set(word)
+    for e in (bs.edges[bs.band_edge_pairs[0][0]],
+              bs.edges[bs.band_edge_pairs[-1][1]]):
+        assert e.lo < e.hi
+        for t in (F(1, 4), F(3, 4)):
+            z = e.lo + t * (e.hi - e.lo)
+            assert bs.locate(z)["kind"] in ("edge", "band")
+            assert bs.distance_to_spectrum(z) == 0.0
+
+
 def test_closed_gap_is_merged():
     # doubling the free period produces a touching point, not a gap
     bs = band_set([0, 0])
