@@ -208,13 +208,17 @@ def test_array_matches_site_route(p, data):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("offset", [
     10 ** 9 - 20, -10 ** 9 + 20, 2 * 10 ** 9, -4 * 10 ** 9, 10 ** 24])
-def test_sturmian_array_across_limits(offset):
-    # windows of counters n + offset starting or ending near offset, near
-    # -offset and near 3 offset
+def test_sturmian_array_across_limits(offset, direction):
+    # windows of counters n + offset near offset, near -offset and near
+    # 3 offset; direction -1 takes the mirror images of the direction 1
+    # windows, the counters a potential read right to left would meet
     p = pot.sturmian(offset)
-    for lo in (-50, -40, -10, 0, 40 - 2 * offset, 2 * offset - 90):
+    los = (-40, 0, 40 - 2 * offset) if direction == 1 else \
+        (-10, -50, 2 * offset - 90)
+    for lo in los:
         want = site_route(p, lo, lo + 50)
         assert p.array(lo, lo + 50).tobytes() == want.tobytes()
 
@@ -232,14 +236,16 @@ def test_sturmian_array_at_fibonacci_indices():
             assert p.array(lo, lo + 60).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("centre", [
     2 ** 62 - 20, -2 ** 62 + 20, 2 ** 63 - 20, -2 ** 64, 10 ** 26])
-def test_random_array_across_limits(centre):
-    # windows of counters n starting or ending near centre, near -centre and
-    # near 3 centre
+def test_random_array_across_limits(centre, direction):
+    # windows of counters n near centre, near -centre and near 3 centre;
+    # direction -1 takes the mirror images of the direction 1 windows
     p = pot.random_values(2 ** 64 - 1, [F(1, 3), -2, 7])
-    for lo in (centre - 50, centre - 40, centre - 10, centre, 40 - centre,
-               3 * centre - 90):
+    los = (centre - 40, centre, 40 - centre) if direction == 1 else \
+        (centre - 10, centre - 50, 3 * centre - 90)
+    for lo in los:
         want = site_route(p, lo, lo + 50)
         assert p.array(lo, lo + 50).tobytes() == want.tobytes()
 
