@@ -224,7 +224,7 @@ def solve_section(p, z, l, r, rhs):
     def sigma_estimate():
         try:
             return smallest_singular_value(p, r - l + 1, z, start=l)
-        except Exception:
+        except OverflowError:  # LAPACK's bisection cannot bound the section
             return float("nan")
 
     try:

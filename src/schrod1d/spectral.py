@@ -16,8 +16,12 @@ query (Sylvester's theorem). Band theory pairs the edges: the closed-gap
 points are the multiple roots of disc^2 - 4, and the other edges, in
 order, start and end the bands (see `bands`). The floating-point side
 uses LAPACK on symmetric tridiagonal sections: whole truncation spectra by
-the root-free QL/QR algorithm (sterf), and the two eigenvalues next to a
-point by bisection with index selection (stebz).
+the root-free QL/QR algorithm (sterf), and the eigenvalue nearest a point z
+by bisection (stebz). A window of rounding width around z comes first: when
+z sits on a section eigenvalue, the case that decides the finite section
+method, a few sweeps find it. Otherwise LAPACK's Sturm count names the two
+eigenvalues next to z, and bisection with index selection finds them (see
+`smallest_singular_value`).
 
 Floats also propose where exact roots lie. Band edges are the eigenvalues
 of the q x q periodic and antiperiodic Floquet matrices (the roots of
@@ -35,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from . import polynomials as pl
 from .potential import PeriodicPotential
@@ -460,42 +465,76 @@ def truncation_spectrum(p, size):
     return eigvalsh_tridiagonal(d, e, lapack_driver='sterf')
 
 
-def _count_below(d, z):
-    """Number of eigenvalues below z of the symmetric tridiagonal section
-    with diagonal d and unit off-diagonals, by the standard LDL^T inertia
-    recursion on Python floats (the unit off-diagonal makes e*e/q = 1/q)."""
-    cnt = 0
-    q = math.inf  # x - 1.0 / inf is x: the first pivot has no off-diagonal
-    for x in (d - z).tolist():
-        q = x - 1.0 / q
-        if q == 0.0:
-            q = -1e-300
-        if q < 0:
-            cnt += 1
-    return cnt
+# range codes of scipy's dstebz wrapper: LAPACK's RANGE = 'V' and 'I'
+_BY_VALUE, _BY_INDEX = 1, 2
+# half-width of the near window around z, relative to the section's reach
+# (see smallest_singular_value)
+_NEAR_WIDTH = 64 * float(np.finfo(float).eps)
+
+
+def _stebz(d, e, by, vl=0.0, vu=0.0, il=0, iu=0, tol=0.0):
+    """Eigenvalues of the tridiagonal (d, e) that LAPACK's bisection
+    (dstebz) selects, ascending: those in (vl, vu] by value, or those of
+    1-based indices il..iu. tol is dstebz's ABSTOL; 0 means its default,
+    about eps * ||(d, e)||. Raises OverflowError when dstebz reports that
+    it did not converge, or returns fewer eigenvalues than indices asked
+    for (as it does on entries near the float limit)."""
+    if not e.size:  # a 1 x 1 section: scipy's wrapper still wants an entry
+        e = np.zeros(1)
+    m, w, _, _, info = dstebz(d, e, by, vl, vu, il, iu, tol, 'E')
+    if info < 0:
+        raise ValueError("dstebz rejected argument %d" % -info)
+    if info or (by == _BY_INDEX and m < iu - il + 1):
+        raise OverflowError("section entries too large for the eigenvalue "
+                            "bisection (dstebz info=%d)" % info)
+    return w[:m]
+
+
+def _lapack_count(d, e, x):
+    """Number of eigenvalues of the tridiagonal (d, e) below x, by LAPACK's
+    Sturm count (a zero pivot counts as negative): a value range from -inf
+    with an infinite tolerance accepts dstebz's first interval, so it counts
+    and bisects nothing."""
+    return _stebz(d, e, _BY_VALUE, -math.inf, x, tol=math.inf).size
 
 
 def smallest_singular_value(p, size, z, start=0):
     """sigma_min of the size x size section of H - z.
 
-    The section is symmetric, so the singular values are |lambda - z| over
-    section eigenvalues lambda; only the two eigenvalues adjacent to z are
-    computed (bisection with index selection after an inertia count).
-    Raises OverflowError when LAPACK's bisection cannot bound the section
-    (entries near the float limit, such as 1e308, leave it no eigenvalue).
+    The section is symmetric, so sigma_min = min |lambda - z| over its
+    eigenvalues lambda, found by LAPACK bisection (`_stebz`):
+
+    1. The near window (z - delta, z + delta], delta = 64 eps max(reach,
+       |z|) with reach = max|d - z| + 2, the Gershgorin radius around z
+       (the |z| term keeps z +- delta distinct floats). The Sturm count of
+       bisection is backward stable (Barth, Martin & Wilkinson 1967;
+       Demmel, Dhillon & Ren 1995): exact for a diagonal moved by a few
+       eps reach, so inside the window eigenvalues differ from z only by
+       rounding. If the window holds any, the nearest is the answer after
+       a few sweeps. This is the case that decides the FSM: z on an
+       eigenvalue of the section.
+    2. Otherwise k = `_lapack_count` at z - delta is the number of
+       eigenvalues below z.
+    3. Eigenvalues k and k + 1 (1-based), the two next to z, by bisection
+       with index selection: the floats an index search alone would give.
+
+    Raises OverflowError when LAPACK's bisection cannot bound the section:
+    its Gershgorin interval [min d - 2, max d + 2] or its reach around z is
+    not finite in floats (entries near the float limit, such as 1e308), or
+    `_stebz` fails on it.
     """
     if size < 1:
         raise ValueError("section size must be positive")
     d, e = _tridiag_data(p, start, start + size - 1)
     zf = float(z)
-    if size == 1:
-        return abs(d[0] - zf)
-    k = _count_below(d, zf)
-    idx = sorted({max(0, k - 1), min(size - 1, k)})
-    ev = eigvalsh_tridiagonal(d, e, select='i',
-                              select_range=(idx[0], idx[-1]),
-                              lapack_driver='stebz')
-    if not ev.size:
+    lo, hi = float(d.min()) - 2.0, float(d.max()) + 2.0
+    reach = max(hi - zf, zf - lo)
+    if not (math.isfinite(hi - lo) and math.isfinite(reach + abs(zf))):
         raise OverflowError("section entries too large for the eigenvalue "
                             "bisection")
+    delta = _NEAR_WIDTH * max(reach, abs(zf))
+    ev = _stebz(d, e, _BY_VALUE, zf - delta, zf + delta)
+    if not ev.size:
+        k = _lapack_count(d, e, zf - delta)
+        ev = _stebz(d, e, _BY_INDEX, il=max(1, k), iu=min(size, k + 1))
     return float(np.min(np.abs(ev - zf)))

@@ -25,6 +25,9 @@ tests/test_artifact_corpus.py runs those exact-only entries; run every
 entry with
 
     PYTHONPATH=src python tests/artifact_corpus.py
+
+Each FAIL line names the parts of the entry that moved (exit, stdout, each
+artifact file), so a deliberate re-pin can say which digests it changes.
 """
 
 import contextlib
@@ -71,10 +74,29 @@ def run_entry(entry):
     return code, _sha256(stdout.getvalue().encode()), artifacts
 
 
+def differences(entry, outcome):
+    """The parts of an outcome of run_entry that differ from the entry's
+    record: "exit", "stdout" and the name of each artifact file whose digest
+    moved, marked "(missing)" or "(new)" when only one side has it."""
+    code, stdout, artifacts = outcome
+    parts = [part for part, got in (("exit", code), ("stdout", stdout))
+             if got != entry[part]]
+    recorded = entry["artifacts"]
+    for name in sorted(set(recorded) | set(artifacts)):
+        if name not in artifacts:
+            parts.append(name + " (missing)")
+        elif name not in recorded:
+            parts.append(name + " (new)")
+        elif artifacts[name] != recorded[name]:
+            parts.append(name)
+    return parts
+
+
 def check_entry(entry):
-    """AssertionError naming the entry unless a run reproduces its record."""
-    expected = entry["exit"], entry["stdout"], entry["artifacts"]
-    assert run_entry(entry) == expected, "%s: outputs differ" % entry["name"]
+    """AssertionError naming the entry and the parts that differ unless a
+    run reproduces its record."""
+    parts = differences(entry, run_entry(entry))
+    assert not parts, "%s: %s differ" % (entry["name"], ", ".join(parts))
 
 
 def main():

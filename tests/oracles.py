@@ -11,8 +11,9 @@ gcd tower for counting roots with multiplicity, bands paired by the sign
 of disc^2 - 4 between edges in place of root multiplicity, unit-root grid
 moduli summed numerically at 60 digits in place of the exact value-ring
 route,
-the general (d, e) inertia recursion over numpy scalars in place of the
-package's unit off-diagonal loop over Python floats, a float shooting
+the general (d, e) inertia recursion over numpy scalars in place of
+LAPACK's count, sigma_min by that count and one index-selected stebz
+bisection in place of the package's near window, a float shooting
 match of the decaying solutions in place of the exact two-sided kernel
 test over Q(sqrt D_L, sqrt D_R), and the Wronskian of the rational
 Dirichlet orbit, one rebuilt potential per rotation, in place of the
@@ -24,6 +25,8 @@ from functools import lru_cache
 from math import cos, hypot, lcm, pi, sqrt
 
 import mpmath
+import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 import schrod1d.polynomials as pl
 from schrod1d.potential import EventuallyPeriodicPotential, PeriodicPotential
@@ -106,6 +109,18 @@ def count_below(d, e, z):
         if q < 0:
             cnt += 1
     return cnt
+
+
+def sigma_min_by_index(d, z):
+    """sigma_min of S - z, S the section with diagonal d and unit
+    off-diagonals: count the eigenvalues of S below z, then bisect the two
+    next to z with index selection (stebz); a zero pivot counts as below."""
+    k = count_below(d, np.ones(len(d) - 1), z)
+    idx = sorted({max(0, k - 1), min(len(d) - 1, k)})
+    ev = eigvalsh_tridiagonal(d, np.ones(len(d) - 1), select='i',
+                              select_range=(idx[0], idx[-1]),
+                              lapack_driver='stebz')
+    return float(np.min(np.abs(ev - z)))
 
 
 def golden_word(length):

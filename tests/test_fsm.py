@@ -137,6 +137,26 @@ def test_singular_section_raises():
     assert resid <= 1e-10
 
 
+def test_sigma_estimate_reads_nan_only_on_overflow(monkeypatch):
+    # a section LAPACK's bisection cannot bound reads nan; any other fault
+    # of the sigma_min path propagates instead of hiding in a nan
+    p = pot.periodic([0])
+
+    def fault(exc):
+        def smallest_singular_value(*args, **kwargs):
+            raise exc
+        return smallest_singular_value
+    monkeypatch.setattr(fsm, "smallest_singular_value",
+                        fault(OverflowError("unbounded section")))
+    with pytest.raises(fsm.SectionSingularError) as exc:
+        fsm.solve_section(p, 0, 0, 4, fsm.GridVector.delta(0))
+    assert math.isnan(exc.value.sigma_min)
+    monkeypatch.setattr(fsm, "smallest_singular_value",
+                        fault(RuntimeError("sigma_min path fault")))
+    with pytest.raises(RuntimeError, match="sigma_min path fault"):
+        fsm.solve_section(p, 0, 0, 4, fsm.GridVector.delta(0))
+
+
 def test_reference_solution_closed_forms():
     p = pot.periodic([4])
     rhs = fsm.GridVector.delta(0)

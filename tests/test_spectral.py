@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import schrod1d.polynomials as pl
 import schrod1d.potential as pot
@@ -13,7 +13,7 @@ import schrod1d.spectral as sp
 import schrod1d.transfer as tr
 from oracles import (constant4_eigenvalues, constant4_sigma_min, count_below,
                      fraction_sturm_chain, fraction_variations_at,
-                     sign_sampled_band_pairs)
+                     sigma_min_by_index, sign_sampled_band_pairs)
 
 
 int_words = st.lists(st.integers(min_value=-4, max_value=4),
@@ -498,13 +498,51 @@ def diagonals_and_shifts(draw):
     return diag, z
 
 
+def lapack_count(d, z):
+    return sp._lapack_count(d, np.ones(len(d) - 1), float(z))
+
+
+def near_width(d, z):
+    """delta of `smallest_singular_value`: 64 eps max(max|d - z| + 2, |z|)."""
+    reach = max(float(d.max()) + 2 - z, z - float(d.min()) + 2)
+    return 64 * np.finfo(float).eps * max(reach, abs(z))
+
+
+def section_determinant(diag, z):
+    """det of the unit off-diagonal section at z, over Q, by the three-term
+    recurrence of its leading minors."""
+    prev, det = F(0), F(1)
+    for v in diag:
+        prev, det = det, (F(v) - F(z)) * det - prev
+    return det
+
+
+def assert_count_matches_reference(diag, z):
+    d = np.array([float(v) for v in diag])
+    zf = float(z)
+    want = count_below(d, np.ones(len(d) - 1), zf)
+    got = lapack_count(d, zf)
+    if got != want:
+        # Only at a tie: z is an eigenvalue of the whole section over Q, so
+        # the last pivot is a rounding-level number, and its sign depends on
+        # the order of operations: (d - z) - 1/q in the oracle, (d - 1/q) - z
+        # in LAPACK. smallest_singular_value never reads a count there: the
+        # near window holds the eigenvalue, and the count at z - delta, the
+        # one it would read, agrees.
+        assert abs(got - want) == 1 and section_determinant(diag, z) == 0
+        delta = near_width(d, zf)
+        assert sp.smallest_singular_value(pot.explicit(list(diag)), len(d),
+                                          zf) <= delta
+        assert lapack_count(d, zf - delta) == \
+            count_below(d, np.ones(len(d) - 1), zf - delta)
+
+
 @given(diagonals_and_shifts())
+@example(([F(-2, 3), F(-2, 3)], F(-5, 3)))  # LAPACK counts one fewer
+@example(([-6, 3, F(5, 6), -4], F(7, 2)))  # LAPACK counts one more
 @settings(max_examples=200, deadline=None)
 def test_count_below_matches_reference(case):
-    diag, z = case
-    d = np.array([float(v) for v in diag])
-    assert sp._count_below(d, float(z)) == \
-        count_below(d, np.ones(len(d) - 1), float(z))
+    assert_count_matches_reference(*case)
 
 
 @pytest.mark.parametrize("diag,z", [
@@ -519,15 +557,86 @@ def test_count_below_zero_pivot(diag, z):
     for x in d[1:len(exact_pivots(diag, z))] - zf:
         pivots.append(x - 1.0 / pivots[-1])
     assert pivots[-1] == 0.0
-    assert sp._count_below(d, zf) == count_below(d, np.ones(len(d) - 1), zf)
+    assert lapack_count(d, zf) == count_below(d, np.ones(len(d) - 1), zf)
 
 
 def test_count_below_on_long_sections():
     for p in (pot.sturmian(5), pot.random_values(3, [F(1, 3), -2, 2])):
         d = p.array(0, 4000)
         for z in (-2.5, 0.0, F(1, 3), 1.0, 3.5):
-            assert sp._count_below(d, float(z)) == \
+            assert lapack_count(d, z) == \
                 count_below(d, np.ones(len(d) - 1), float(z))
+
+
+SECTION_FAMILIES = [
+    pytest.param(pot.periodic([3, -1, 4, 1, -5]), id="periodic-integer"),
+    pytest.param(pot.periodic([F(1, 2), 2, 1]), id="periodic-rational"),
+    pytest.param(pot.periodic([F(-3, 4), F(-4, 3), 1]),
+                 id="periodic-rational-defect"),
+    pytest.param(pot.sturmian(5), id="sturmian"),
+    pytest.param(pot.random_values(3, [F(1, 3), -2, 2]), id="random"),
+    pytest.param(pot.eventually_periodic([1, -1], [F(5, 2), 0, -3], 0,
+                                         [2, F(1, 3)]),
+                 id="eventually-periodic"),
+]
+
+
+@pytest.mark.parametrize("p", SECTION_FAMILIES)
+def test_sigma_min_bit_identical_to_index_route(p):
+    # wherever the nearest eigenvalue lies beyond delta, the near window is
+    # empty and the count at z - delta picks the index pair the Python
+    # count at z picked, so the same stebz call gives the same float
+    beyond = 0
+    for size in (2, 3, 7, 60, 999, 4000, 20000):
+        for start in (-size // 2, 0):
+            d = p.array(start, start + size - 1)
+            for z in (-2.5, -1.0, 0.0, F(1, 3), 0.5, 2.0, 3.5):
+                zf = float(z)
+                want = sigma_min_by_index(d, zf)
+                got = sp.smallest_singular_value(p, size, z, start=start)
+                assert type(got) is float
+                if want > near_width(d, zf):
+                    beyond += 1
+                    assert got == want
+                else:
+                    assert got <= near_width(d, zf)
+    assert beyond >= 80
+
+
+def test_sigma_min_on_exactly_singular_sections():
+    # (1/2, 2, 1) at z = 0: the half-line sections of n = 2 mod 3 sites
+    # have determinant 0, so sigma_min is rounding, read off the near window
+    p = pot.periodic([F(1, 2), 2, 1])
+    for n in (2, 5, 8, 11, 29, 302, 2999):
+        assert section_determinant([p.value(i) for i in range(n)], 0) == 0
+        got = sp.smallest_singular_value(p, n, 0)
+        assert type(got) is float
+        assert got <= near_width(p.array(0, n - 1), 0.0)
+        assert abs(got - np.min(np.abs(sp.truncation_spectrum(p, n)))) < 1e-13
+
+
+def test_sigma_min_is_a_python_float_on_every_path():
+    p = pot.periodic([3, -1, 4])
+    for size, z in ((1, 0.5), (6, 0.5), (2, 0.0)):
+        assert type(sp.smallest_singular_value(p, size, z)) is float
+    near = pot.periodic([0])  # the 3-site section has eigenvalue 0
+    assert type(sp.smallest_singular_value(near, 3, 0)) is float
+
+
+@pytest.mark.parametrize("z", [0.0, 1e308, -1e308])
+def test_sigma_min_refuses_sections_beyond_the_bisection_range(z):
+    # entries in float range whose Gershgorin interval [-1e308 - 2,
+    # 1e308 + 2] is not: LAPACK's bisection cannot bound the section
+    p = pot.periodic([1e308, -1e308])
+    with pytest.raises(OverflowError, match="bisection"):
+        sp.smallest_singular_value(p, 16, z)
+
+
+def test_sigma_min_refuses_sections_the_bisection_does_not_converge_on():
+    # a finite Gershgorin interval, but dstebz reports no convergence
+    # (info 1): the documented OverflowError, not scipy's LinAlgError
+    with pytest.raises(OverflowError, match=r"dstebz info=1"):
+        sp.smallest_singular_value(pot.periodic([9e307, 0]), 16, 4.5e307)
 
 
 def test_sigma_min_closed_form():
